@@ -1,6 +1,21 @@
-(* Byte-oriented AES-128: 4x4 state, table-driven S-boxes, xtime-based
-   MixColumns. Clarity over speed; host throughput is still far beyond the
-   simulated 24 MHz MCU this models. *)
+(* AES-128 with a T-table encrypt kernel (the 32-bit software design of
+   FIPS 197 §5.2.1 / Daemen-Rijmen "The Design of Rijndael" §4.2).
+
+   - The key schedule is one flat array of 44 big-endian column words.
+   - [te0]..[te3] fold SubBytes and MixColumns into one 256-entry table
+     each; they are computed at module initialisation from [sbox]. [te1],
+     [te2] and [te3] are [te0] rotated right by 8, 16 and 24 bits, so
+     ShiftRows is only a choice of which state word feeds each table.
+   - The state lives in four native ints, one column word each, and a
+     block is encrypted in place in a [Bytes.t]; [encrypt_block] wraps
+     that primitive. The final round has no MixColumns and goes through
+     [sbox].
+   - Decryption keeps the byte-oriented inverse cipher (InvShiftRows,
+     InvSubBytes, xtime-based InvMixColumns) over the same schedule.
+
+   Neither kernel is constant-time: both index tables by secret bytes.
+   This is the simulator's host code, not the modeled MCU, whose costs
+   come from [Ra_mcu.Timing]. *)
 
 let block_size = 16
 let key_size = 16
@@ -35,41 +50,101 @@ let inv_sbox =
   Array.iteri (fun i v -> t.(v) <- i) sbox;
   t
 
-type key = { enc : int array array }
-(* enc.(r) is round key r as 16 bytes in column order. *)
+type key = int array
+(* 44 words; round key r is words 4r..4r+3, word c is column c with row 0
+   in its most significant byte. *)
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 
+let sub_word w =
+  (sbox.(w lsr 24) lsl 24)
+  lor (sbox.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox.((w lsr 8) land 0xff) lsl 8)
+  lor sbox.(w land 0xff)
+
+let load b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+
 let expand k =
   if String.length k <> key_size then invalid_arg "Aes.expand: need 16 bytes";
-  (* 44 words of 4 bytes *)
-  let w = Array.make 44 [||] in
+  let w = Array.make (4 * (rounds + 1)) 0 in
   for i = 0 to 3 do
-    w.(i) <-
-      [| Char.code k.[4 * i]; Char.code k.[(4 * i) + 1];
-         Char.code k.[(4 * i) + 2]; Char.code k.[(4 * i) + 3] |]
+    w.(i) <- load (Bytes.unsafe_of_string k) (4 * i)
   done;
-  for i = 4 to 43 do
-    let temp = Array.copy w.(i - 1) in
-    if i mod 4 = 0 then begin
-      (* rotword + subword + rcon *)
-      let t0 = temp.(0) in
-      temp.(0) <- sbox.(temp.(1)) lxor rcon.((i / 4) - 1);
-      temp.(1) <- sbox.(temp.(2));
-      temp.(2) <- sbox.(temp.(3));
-      temp.(3) <- sbox.(t0)
-    end;
-    w.(i) <- Array.init 4 (fun j -> w.(i - 4).(j) lxor temp.(j))
+  for i = 4 to (4 * (rounds + 1)) - 1 do
+    let temp = w.(i - 1) in
+    let temp =
+      if i mod 4 = 0 then
+        (* rotword, subword, rcon *)
+        let rot = ((temp lsl 8) lor (temp lsr 24)) land 0xffffffff in
+        sub_word rot lxor (rcon.((i / 4) - 1) lsl 24)
+      else temp
+    in
+    w.(i) <- w.(i - 4) lxor temp
   done;
-  let enc =
-    Array.init (rounds + 1) (fun r ->
-        Array.init 16 (fun i -> w.((4 * r) + (i / 4)).(i mod 4)))
-  in
-  { enc }
+  w
 
 let xtime b =
   let b2 = b lsl 1 in
   if b land 0x80 <> 0 then (b2 lxor 0x1b) land 0xff else b2 land 0xff
+
+(* te0.(x) is the MixColumns column (2s, s, s, 3s) of s = sbox.(x), row 0
+   in the most significant byte. *)
+let te0 =
+  Array.map
+    (fun s ->
+      let s2 = xtime s in
+      (s2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor (s2 lxor s))
+    sbox
+
+let rotate_right n t = Array.map (fun w -> ((w lsr n) lor (w lsl (32 - n))) land 0xffffffff) t
+let te1 = rotate_right 8 te0
+let te2 = rotate_right 16 te0
+let te3 = rotate_right 24 te0
+
+(* All indices below are masked to a byte or bounded by the 44-word
+   schedule, so the table reads skip the bounds check. *)
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
+
+(* Final round of one output column: SubBytes and ShiftRows, no MixColumns. *)
+let last_round a b c d rk =
+  (sbox.!(a lsr 24) lsl 24)
+  lor (sbox.!((b lsr 16) land 0xff) lsl 16)
+  lor (sbox.!((c lsr 8) land 0xff) lsl 8)
+  lor sbox.!(d land 0xff)
+  lxor rk
+
+let encrypt_bytes k b off =
+  if off < 0 || off > Bytes.length b - block_size then invalid_arg "Aes.encrypt_bytes";
+  let s0 = ref (load b off lxor k.!(0)) and s1 = ref (load b (off + 4) lxor k.!(1))
+  and s2 = ref (load b (off + 8) lxor k.!(2)) and s3 = ref (load b (off + 12) lxor k.!(3)) in
+  for r = 1 to rounds - 1 do
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and i = 4 * r in
+    s0 :=
+      te0.!(a0 lsr 24) lxor te1.!((a1 lsr 16) land 0xff)
+      lxor te2.!((a2 lsr 8) land 0xff) lxor te3.!(a3 land 0xff) lxor k.!(i);
+    s1 :=
+      te0.!(a1 lsr 24) lxor te1.!((a2 lsr 16) land 0xff)
+      lxor te2.!((a3 lsr 8) land 0xff) lxor te3.!(a0 land 0xff) lxor k.!(i + 1);
+    s2 :=
+      te0.!(a2 lsr 24) lxor te1.!((a3 lsr 16) land 0xff)
+      lxor te2.!((a0 lsr 8) land 0xff) lxor te3.!(a1 land 0xff) lxor k.!(i + 2);
+    s3 :=
+      te0.!(a3 lsr 24) lxor te1.!((a0 lsr 16) land 0xff)
+      lxor te2.!((a1 lsr 8) land 0xff) lxor te3.!(a2 land 0xff) lxor k.!(i + 3)
+  done;
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and i = 4 * rounds in
+  Bytes.set_int32_be b off (Int32.of_int (last_round a0 a1 a2 a3 k.!(i)));
+  Bytes.set_int32_be b (off + 4) (Int32.of_int (last_round a1 a2 a3 a0 k.!(i + 1)));
+  Bytes.set_int32_be b (off + 8) (Int32.of_int (last_round a2 a3 a0 a1 k.!(i + 2)));
+  Bytes.set_int32_be b (off + 12) (Int32.of_int (last_round a3 a0 a1 a2 k.!(i + 3)))
+
+let encrypt_block k pt =
+  if String.length pt <> block_size then invalid_arg "Aes.encrypt_block";
+  let b = Bytes.of_string pt in
+  encrypt_bytes k b 0;
+  Bytes.unsafe_to_string b
+
+(* Inverse cipher, byte-oriented. State layout: state.(4*col + row). *)
 
 let gmul a b =
   (* GF(2^8) multiply via shift-and-add; [a] is data, [b] a small constant. *)
@@ -82,22 +157,11 @@ let gmul a b =
   done;
   !acc
 
-let add_round_key state rk =
+let add_round_key state k r =
   for i = 0 to 15 do
-    state.(i) <- state.(i) lxor rk.(i)
+    let w = k.((4 * r) + (i / 4)) in
+    state.(i) <- state.(i) lxor ((w lsr (24 - (8 * (i mod 4)))) land 0xff)
   done
-
-(* State layout: state.(4*col + row), matching the key schedule above. *)
-
-let shift_rows state =
-  let s r c = state.((4 * c) + r) in
-  let out = Array.make 16 0 in
-  for c = 0 to 3 do
-    for r = 0 to 3 do
-      out.((4 * c) + r) <- s r ((c + r) mod 4)
-    done
-  done;
-  Array.blit out 0 state 0 16
 
 let inv_shift_rows state =
   let s r c = state.((4 * c) + r) in
@@ -109,16 +173,6 @@ let inv_shift_rows state =
   done;
   Array.blit out 0 state 0 16
 
-let mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.((4 * c) + 1)
-    and a2 = state.((4 * c) + 2) and a3 = state.((4 * c) + 3) in
-    state.(4 * c) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    state.((4 * c) + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    state.((4 * c) + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    state.((4 * c) + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
 let inv_mix_columns state =
   for c = 0 to 3 do
     let a0 = state.(4 * c) and a1 = state.((4 * c) + 1)
@@ -129,40 +183,22 @@ let inv_mix_columns state =
     state.((4 * c) + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
   done
 
-let sub_bytes state table =
+let inv_sub_bytes state =
   for i = 0 to 15 do
-    state.(i) <- table.(state.(i))
+    state.(i) <- inv_sbox.(state.(i))
   done
-
-let of_string s = Array.init 16 (fun i -> Char.code s.[i])
-let to_string a = String.init 16 (fun i -> Char.chr a.(i))
-
-let encrypt_block k pt =
-  if String.length pt <> block_size then invalid_arg "Aes.encrypt_block";
-  let st = of_string pt in
-  add_round_key st k.enc.(0);
-  for r = 1 to rounds - 1 do
-    sub_bytes st sbox;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st k.enc.(r)
-  done;
-  sub_bytes st sbox;
-  shift_rows st;
-  add_round_key st k.enc.(rounds);
-  to_string st
 
 let decrypt_block k ct =
   if String.length ct <> block_size then invalid_arg "Aes.decrypt_block";
-  let st = of_string ct in
-  add_round_key st k.enc.(rounds);
+  let st = Array.init 16 (fun i -> Char.code ct.[i]) in
+  add_round_key st k rounds;
   for r = rounds - 1 downto 1 do
     inv_shift_rows st;
-    sub_bytes st inv_sbox;
-    add_round_key st k.enc.(r);
+    inv_sub_bytes st;
+    add_round_key st k r;
     inv_mix_columns st
   done;
   inv_shift_rows st;
-  sub_bytes st inv_sbox;
-  add_round_key st k.enc.(0);
-  to_string st
+  inv_sub_bytes st;
+  add_round_key st k 0;
+  String.init 16 (fun i -> Char.chr st.(i))

@@ -17,8 +17,13 @@ val expand : string -> key
 (** [expand k] expands a 16-byte key.
     @raise Invalid_argument if [k] is not 16 bytes. *)
 
+val encrypt_bytes : key -> Bytes.t -> int -> unit
+(** [encrypt_bytes k b off] encrypts the 16 bytes of [b] at [off] in
+    place, allocating nothing. Modes that chain or reuse a block use it.
+    @raise Invalid_argument if [b] has fewer than 16 bytes at [off]. *)
+
 val encrypt_block : key -> string -> string
-(** Encrypt one 16-byte block.
+(** Encrypt one 16-byte block: {!encrypt_bytes} on a fresh copy.
     @raise Invalid_argument on wrong block length. *)
 
 val decrypt_block : key -> string -> string

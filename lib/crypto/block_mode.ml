@@ -74,24 +74,30 @@ let cbc_decrypt c ~iv ct =
   end
 
 let ctr_crypt c ~nonce s =
-  let nlen = c.block_size - 8 in
+  let bs = c.block_size in
+  let nlen = bs - 8 in
   if nlen < 0 then invalid_arg "Block_mode.ctr_crypt: block size < 8";
   if String.length nonce <> nlen then invalid_arg "Block_mode.ctr_crypt: nonce";
   let n = String.length s in
   let out = Bytes.create n in
-  let counter = Bytes.create 8 in
-  let nblocks = (n + c.block_size - 1) / c.block_size in
-  for b = 0 to nblocks - 1 do
-    Bytes.set_int64_be counter 0 (Int64.of_int b);
-    let keystream = c.encrypt (nonce ^ Bytes.to_string counter) in
-    let off = b * c.block_size in
-    let len = min c.block_size (n - off) in
-    for i = 0 to len - 1 do
-      Bytes.set out (off + i)
-        (Char.chr (Char.code s.[off + i] lxor Char.code keystream.[i]))
-    done
+  (* one counter block, nonce ‖ u64_be b, rewritten in place per block *)
+  let counter = Bytes.create bs in
+  Bytes.blit_string nonce 0 counter 0 nlen;
+  let off = ref 0 and b = ref 0 in
+  while !off < n do
+    Bytes.set_int64_be counter nlen (Int64.of_int !b);
+    (* [encrypt] only reads its argument, so the counter can be lent as a
+       string and rewritten once the keystream block is back *)
+    let keystream = c.encrypt (Bytes.unsafe_to_string counter) in
+    for i = 0 to min bs (n - !off) - 1 do
+      let j = !off + i in
+      Bytes.unsafe_set out j
+        (Char.unsafe_chr (Char.code s.[j] lxor Char.code keystream.[i]))
+    done;
+    off := !off + bs;
+    incr b
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let encode_length block_size n =
   (* big-endian length in one block *)

@@ -9,7 +9,9 @@ type cipher = {
   encrypt : string -> string; (* one block *)
   decrypt : string -> string; (* one block *)
 }
-(** A block cipher with its key already expanded. *)
+(** A block cipher with its key already expanded. [encrypt] must not
+    keep its argument: {!ctr_crypt} lends it one counter block and
+    rewrites that block after each call. *)
 
 val aes : Aes.key -> cipher
 val speck : Speck.key -> cipher

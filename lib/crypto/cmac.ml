@@ -21,27 +21,29 @@ let derive aes =
   let k1 = dbl l in
   { aes; k1; k2 = dbl k1 }
 
+let xor_word st i msg off =
+  Bytes.set_int64_ne st i (Int64.logxor (Bytes.get_int64_ne st i) (String.get_int64_ne msg off))
+
+(* One 16-byte chaining state, encrypted in place: every block but the
+   last is xored in and encrypted; the last is xored with K1 when it is
+   complete, else padded with 10* and xored with K2. *)
 let mac key msg =
   let len = String.length msg in
-  let full_blocks, last, last_complete =
-    if len = 0 then (0, "", false)
-    else begin
-      let q = (len + block - 1) / block in
-      let last_len = len - ((q - 1) * block) in
-      (q - 1, String.sub msg ((q - 1) * block) last_len, last_len = block)
-    end
-  in
-  let final =
-    if last_complete then Hexutil.xor last key.k1
-    else begin
-      let padded = last ^ "\x80" ^ String.make (block - String.length last - 1) '\x00' in
-      Hexutil.xor padded key.k2
-    end
-  in
-  let state = ref (String.make block '\x00') in
-  for i = 0 to full_blocks - 1 do
-    state := Aes.encrypt_block key.aes (Hexutil.xor !state (String.sub msg (i * block) block))
+  let st = Bytes.make block '\x00' in
+  (* offset of the last block, complete or not; 0 for the empty message *)
+  let last = if len = 0 then 0 else (len - 1) / block * block in
+  for b = 0 to (last / block) - 1 do
+    xor_word st 0 msg (b * block);
+    xor_word st 8 msg ((b * block) + 8);
+    Aes.encrypt_bytes key.aes st 0
   done;
-  Aes.encrypt_block key.aes (Hexutil.xor !state final)
+  let rest = len - last in
+  let sub = if rest = block then key.k1 else key.k2 in
+  for i = 0 to block - 1 do
+    let m = if i < rest then Char.code msg.[last + i] else if i = rest then 0x80 else 0 in
+    Bytes.set st i (Char.chr (Char.code (Bytes.get st i) lxor m lxor Char.code sub.[i]))
+  done;
+  Aes.encrypt_bytes key.aes st 0;
+  Bytes.unsafe_to_string st
 
 let verify key ~msg ~tag = Hexutil.equal_ct (mac key msg) tag

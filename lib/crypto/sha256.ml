@@ -1,7 +1,8 @@
 (* SHA-256 with the same streaming skeleton and unboxed-int kernel as
-   {!Sha1}: flat [int array] state, [Bytes.get_int32_be] word loads, a
-   preallocated 64-word schedule, and explicit 32-bit masking on native
-   ints so compressing a block allocates nothing. *)
+   {!Sha1}: flat [int array] state, big-endian words assembled from four
+   unchecked byte loads, a preallocated 64-word schedule, and explicit
+   32-bit masking on native ints so compressing a block allocates
+   nothing. *)
 
 let digest_size = 32
 let block_size = 64

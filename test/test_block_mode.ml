@@ -108,6 +108,26 @@ let test_ctr_keystream_position_dependent () =
   Alcotest.(check bool) "block 0 <> block 1" true
     (String.sub ct 0 16 <> String.sub ct 16 16)
 
+let test_ctr_layout () =
+  (* keystream block i is encrypt_block (nonce ‖ be64 i), truncated to n *)
+  let key = Aes.expand (String.make 16 'k') in
+  let c = Block_mode.aes key in
+  let nonce = "\x00\x01\x02\x03\xfc\xfd\xfe\xff" in
+  let be64 i =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_be b 0 (Int64.of_int i);
+    Bytes.to_string b
+  in
+  List.iter
+    (fun n ->
+      let blocks = (n + 15) / 16 in
+      let stream =
+        String.concat "" (List.init blocks (fun i -> Aes.encrypt_block key (nonce ^ be64 i)))
+      in
+      Alcotest.(check string) (Printf.sprintf "n = %d" n) (hex (String.sub stream 0 n))
+        (hex (Block_mode.ctr_crypt c ~nonce (String.make n '\000'))))
+    [ 0; 1; 15; 16; 17; 64; 90 ]
+
 let qcheck_ctr_involution =
   QCheck.Test.make ~name:"ctr: crypt . crypt = id, any length" ~count:100
     QCheck.(pair (string_of_size Gen.(return 8)) (string_of_size Gen.(0 -- 200)))
@@ -136,6 +156,7 @@ let tests =
     Alcotest.test_case "ctr basics" `Quick test_ctr_basics;
     Alcotest.test_case "ctr keystream positional" `Quick
       test_ctr_keystream_position_dependent;
+    Alcotest.test_case "ctr counter layout" `Quick test_ctr_layout;
     QCheck_alcotest.to_alcotest qcheck_ctr_involution;
     QCheck_alcotest.to_alcotest qcheck_ctr_speck_involution;
   ]

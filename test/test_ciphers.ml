@@ -29,6 +29,25 @@ let test_aes_sp80038a () =
       check pt expected (hex (Aes.encrypt_block key (unhex pt))))
     cases
 
+let test_aes_reference_fips197 () =
+  (* the oracle below must itself be AES *)
+  check "reference encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a"
+    (hex
+       (Aes_ref.encrypt_block (unhex "000102030405060708090a0b0c0d0e0f")
+          (unhex "00112233445566778899aabbccddeeff")))
+
+let test_aes_encrypt_bytes () =
+  (* in place at an offset, neighbours untouched *)
+  let key = Aes.expand (unhex "000102030405060708090a0b0c0d0e0f") in
+  let b = Bytes.of_string ("<<<" ^ unhex "00112233445566778899aabbccddeeff" ^ ">>") in
+  Aes.encrypt_bytes key b 3;
+  check "in place" ("<<<" ^ unhex "69c4e0d86a7b0430d8cdb78070b4c55a" ^ ">>")
+    (Bytes.to_string b);
+  Alcotest.check_raises "past the end" (Invalid_argument "Aes.encrypt_bytes") (fun () ->
+      Aes.encrypt_bytes key b 6);
+  Alcotest.check_raises "negative offset" (Invalid_argument "Aes.encrypt_bytes")
+    (fun () -> Aes.encrypt_bytes key b (-1))
+
 let test_aes_bad_lengths () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes.expand: need 16 bytes")
     (fun () -> ignore (Aes.expand "short"));
@@ -73,6 +92,11 @@ let qcheck_aes_roundtrip =
       let key = Aes.expand k in
       Aes.decrypt_block key (Aes.encrypt_block key pt) = pt)
 
+let qcheck_aes_matches_reference =
+  QCheck.Test.make ~name:"aes: T-table kernel = byte-oriented reference" ~count:1000
+    QCheck.(pair (string_of_size Gen.(return 16)) (string_of_size Gen.(return 16)))
+    (fun (k, pt) -> Aes.encrypt_block (Aes.expand k) pt = Aes_ref.encrypt_block k pt)
+
 let qcheck_simon_roundtrip =
   QCheck.Test.make ~name:"simon: decrypt . encrypt = id" ~count:200
     QCheck.(pair (string_of_size Gen.(return 16)) (string_of_size Gen.(return 8)))
@@ -101,12 +125,15 @@ let tests =
   [
     Alcotest.test_case "AES FIPS-197 vector" `Quick test_aes_fips197;
     Alcotest.test_case "AES SP800-38A vectors" `Quick test_aes_sp80038a;
+    Alcotest.test_case "AES reference FIPS-197" `Quick test_aes_reference_fips197;
+    Alcotest.test_case "AES in place" `Quick test_aes_encrypt_bytes;
     Alcotest.test_case "AES bad lengths" `Quick test_aes_bad_lengths;
     Alcotest.test_case "Speck 64/128 vector" `Quick test_speck_vector;
     Alcotest.test_case "Speck bad lengths" `Quick test_speck_bad_lengths;
     Alcotest.test_case "Simon 64/128 vector" `Quick test_simon_vector;
     Alcotest.test_case "Simon bad lengths" `Quick test_simon_bad_lengths;
     QCheck_alcotest.to_alcotest qcheck_aes_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_aes_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_speck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_simon_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_aes_key_avalanche;

@@ -28,6 +28,44 @@ let test_verify () =
   Alcotest.(check bool) "accepts" true (Cmac.verify k ~msg:"hello" ~tag);
   Alcotest.(check bool) "rejects" false (Cmac.verify k ~msg:"hellO" ~tag)
 
+(* RFC 4493 §2.4 over strings: split into blocks, xor the last with K1
+   when complete or pad it with 10* and xor with K2, then CBC-encrypt. *)
+let reference_mac aes msg =
+  let dbl s =
+    let v i = Char.code s.[i] in
+    String.init 16 (fun i ->
+        let next = if i = 15 then (if v 0 land 0x80 <> 0 then 0x87 else 0) else v (i + 1) lsr 7 in
+        Char.chr (((v i lsl 1) land 0xff) lxor next))
+  in
+  let k1 = dbl (Aes.encrypt_block aes (String.make 16 '\x00')) in
+  let k2 = dbl k1 in
+  let n = max 1 ((String.length msg + 15) / 16) in
+  let last = String.sub msg ((n - 1) * 16) (String.length msg - ((n - 1) * 16)) in
+  let last =
+    if String.length last = 16 then Hexutil.xor last k1
+    else Hexutil.xor (last ^ "\x80" ^ String.make (15 - String.length last) '\x00') k2
+  in
+  let blocks = List.init (n - 1) (fun i -> String.sub msg (i * 16) 16) @ [ last ] in
+  List.fold_left
+    (fun st b -> Aes.encrypt_block aes (Hexutil.xor st b))
+    (String.make 16 '\x00') blocks
+
+let test_matches_reference () =
+  (* every length 0..80: empty, exact multiples (K1) and padded tails (K2) *)
+  let aes = Aes.expand (unhex "2b7e151628aed2a6abf7158809cf4f3c") in
+  let k = Cmac.derive aes in
+  for n = 0 to 80 do
+    let m = String.init n (fun i -> Char.chr (((i * 37) + n) land 0xff)) in
+    check (Printf.sprintf "length %d" n) (hex (reference_mac aes m)) (hex (Cmac.mac k m))
+  done
+
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"cmac: equals the string reference, lengths 0..80" ~count:300
+    QCheck.(pair (string_of_size Gen.(return 16)) (string_of_size Gen.(0 -- 80)))
+    (fun (key, m) ->
+      let aes = Aes.expand key in
+      Cmac.mac (Cmac.derive aes) m = reference_mac aes m)
+
 let qcheck_distinct_messages =
   QCheck.Test.make ~name:"cmac: distinct messages, distinct tags" ~count:200
     QCheck.(pair (string_of_size Gen.(0 -- 80)) (string_of_size Gen.(0 -- 80)))
@@ -48,6 +86,8 @@ let tests =
   [
     Alcotest.test_case "RFC 4493 vectors" `Quick test_rfc4493_vectors;
     Alcotest.test_case "verify" `Quick test_verify;
+    Alcotest.test_case "matches reference, lengths 0..80" `Quick test_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_distinct_messages;
     QCheck_alcotest.to_alcotest qcheck_boundary_lengths;
   ]
