@@ -94,6 +94,8 @@ let app_image =
     code = String.concat "" (List.init 64 (fun i -> Printf.sprintf "APP%04d!" i));
   }
 
+let app_image_digest = Secure_boot.digest_image app_image
+
 let rules_of_spec spec device =
   List.concat
     [
@@ -108,7 +110,7 @@ let boot_device ~ram_seed spec device =
   Device.fill_ram_deterministic device ~seed:ram_seed;
   let boot_config =
     {
-      Secure_boot.reference_digest = Secure_boot.digest_image app_image;
+      Secure_boot.reference_digest = app_image_digest;
       protection_rules = rules_of_spec spec device;
       lock_mpu = spec.lock_mpu;
       enable_interrupts = true;
@@ -131,6 +133,14 @@ let build ?(ram_seed = 42L) ?ram_size ~key_blob spec =
   in
   Secure_boot.install_image (Device.memory device) ~region:Device.region_app app_image;
   boot_device ~ram_seed spec device
+
+let clone prover =
+  let device = Device.clone prover.device in
+  {
+    prover with
+    device;
+    anchor = Code_attest.install device ~scheme:prover.spec.scheme ~policy:prover.spec.policy ();
+  }
 
 let reboot ?(ram_seed = 42L) prover =
   boot_device ~ram_seed prover.spec (Device.power_cycle prover.device)

@@ -61,12 +61,23 @@ val with_name : spec -> string -> spec
 val app_image : Ra_mcu.Secure_boot.image
 (** The canonical benign application image installed in flash. *)
 
+val app_image_digest : string
+(** [Secure_boot.digest_image app_image]: the reference measurement
+    secure boot checks, computed once. *)
+
 val build : ?ram_seed:int64 -> ?ram_size:int -> key_blob:string -> spec -> prover
 (** Manufacture, provision and boot a prover. [ram_seed] fills the
     attested RAM deterministically (default seed 42), so the verifier's
     reference image can be reproduced with {!Code_attest.measure_memory}.
     @raise Invalid_argument if the spec is inconsistent (e.g. timestamp
     policy without a clock). *)
+
+val clone : prover -> prover
+(** The same booted prover on a {!Ra_mcu.Device.clone} of its device,
+    with a fresh trust anchor and the original's [boot_outcome] — what
+    {!build} would return for the same arguments, without re-running the
+    manufacture and boot sequence.
+    @raise Invalid_argument if the prover's device has run. *)
 
 val reboot : ?ram_seed:int64 -> prover -> prover
 (** Power-cycle the prover and run secure boot again on the surviving

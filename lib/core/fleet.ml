@@ -897,9 +897,11 @@ let convergence_pct cell =
 
 (* ---- streaming sweeps: million-device fleets in bounded memory ---- *)
 
-(* A materialised session is ~88 KB (dominated by the device's flash
-   image), so a 1M-member [t] would need ~88 GB. The streaming sweep
-   holds ONE live session per shard at a time: create member i's world,
+(* A materialised session holds about 5.5 KB live at 1 KiB of attested
+   RAM (its RAM copy and wiring; ROM and flash are shared copy-on-write
+   with the domain's prototype), so a 1M-member [t] would need ~5.5 GB.
+   The streaming sweep holds ONE live session per shard at a time:
+   create member i's world,
    run exactly the operation sequence [sweep_slot] runs, fold the
    outcome into per-shard tallies and an order-independent fingerprint,
    drop the world. The fingerprint XORs per-member SHA-1 digests, so it

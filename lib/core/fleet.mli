@@ -248,8 +248,10 @@ val annotate_exemplars : t -> int
 
 (** {2 Streaming sweeps}
 
-    A materialised member world costs ~88 KB (dominated by the device's
-    flash image), so a million-member {!t} would need ~88 GB. The
+    A materialised member world holds about 5.5 KB live at 1 KiB of
+    attested RAM (ROM and flash are shared copy-on-write with the
+    domain's prototype, see {!Session.create}), so a million-member {!t}
+    would need ~5.5 GB. The
     streaming sweep keeps {e one} live session per shard at a time:
     create member [i]'s world, run exactly the staggered operation
     sequence {!sweep} runs, fold the outcome into per-shard tallies and

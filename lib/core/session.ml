@@ -34,29 +34,11 @@ let freshness_kind_of_policy = function
   | Freshness.Counter -> Verifier.Fk_counter
   | Freshness.Timestamp _ -> Verifier.Fk_timestamp
 
-let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
-    ?ram_seed ?ram_size () =
-  let time = Simtime.create () in
+let wire verifier (prover : Architecture.prover) =
+  let spec = prover.Architecture.spec in
+  let time = Verifier.time verifier in
   let trace = Trace.create time in
   let channel = Channel.create time trace in
-  (* The verifier needs its ECDSA public key inside the prover's blob, so
-     build the verifier first with a placeholder reference image. *)
-  let verifier =
-    match
-      Verifier.of_config
-        (Verifier.Config.v ?scheme:spec.Architecture.scheme
-           ~freshness_kind:(freshness_kind_of_policy spec.Architecture.policy)
-           ~sym_key ~time ())
-    with
-    | Ok v -> v
-    | Error msg -> invalid_arg ("Session.create: " ^ msg)
-  in
-  let prover =
-    Architecture.build ?ram_seed ?ram_size
-      ~key_blob:(Verifier.prover_key_blob verifier)
-      spec
-  in
-  Verifier.set_reference_image verifier (Code_attest.measure_memory prover.anchor);
   let clock_sync =
     match Ra_mcu.Device.clock prover.Architecture.device with
     | Some _ -> Some (Clock_sync.install prover.Architecture.device)
@@ -75,7 +57,7 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
       prover;
       clock_sync;
       service;
-      sym_key;
+      sym_key = Verifier.sym_key verifier;
       pending = Hashtbl.create 8;
       verdicts = [];
       verdict_count = 0;
@@ -282,6 +264,53 @@ let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
         profile_phase "wait" ~cycles:delta ~nj:(seconds *. sleep_uw *. 1e3)
       | _ -> ());
   t
+
+(* Every member of a homogeneous fleet is the same booted prover and
+   verifier, so each domain keeps one booted pair — the prototype — and
+   every session starts as a clone of it: ROM and flash shared
+   copy-on-write, RAM and the mutable verifier state copied. A single
+   entry keeps the cache bounded; another configuration replaces it. *)
+type prototype = {
+  key : Architecture.spec * string * int64 option * int option;
+  p_verifier : Verifier.t;
+  p_prover : Architecture.prover;
+}
+
+let prototype_slot : prototype option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let prototype ~spec ~sym_key ~ram_seed ~ram_size =
+  let key = (spec, sym_key, ram_seed, ram_size) in
+  match Domain.DLS.get prototype_slot with
+  | Some p when p.key = key -> p
+  | Some _ | None ->
+    (* The verifier needs its ECDSA public key inside the prover's blob,
+       so build the verifier first with a placeholder reference image. *)
+    let verifier =
+      match
+        Verifier.of_config
+          (Verifier.Config.v ?scheme:spec.Architecture.scheme
+             ~freshness_kind:(freshness_kind_of_policy spec.Architecture.policy)
+             ~sym_key ~time:(Simtime.create ()) ())
+      with
+      | Ok v -> v
+      | Error msg -> invalid_arg ("Session.create: " ^ msg)
+    in
+    let prover =
+      Architecture.build ?ram_seed ?ram_size
+        ~key_blob:(Verifier.prover_key_blob verifier)
+        spec
+    in
+    Verifier.set_reference_image verifier (Code_attest.measure_memory prover.anchor);
+    let p = { key; p_verifier = verifier; p_prover = prover } in
+    Domain.DLS.set prototype_slot (Some p);
+    p
+
+let create ?(spec = Architecture.trustlite_base) ?(sym_key = default_sym_key)
+    ?ram_seed ?ram_size () =
+  let p = prototype ~spec ~sym_key ~ram_seed ~ram_size in
+  wire
+    (Verifier.clone p.p_verifier ~time:(Simtime.create ()))
+    (Architecture.clone p.p_prover)
 
 let time t = t.time
 let trace t = t.trace

@@ -18,7 +18,20 @@ val create :
   t
 (** Build a fresh world: simulated time at 0, booted prover (default
     {!Architecture.trustlite_base}), verifier provisioned with the
-    matching key blob and the prover's actual memory image as reference. *)
+    matching key blob and the prover's actual memory image as reference.
+
+    Each domain keeps one booted prototype per configuration (spec,
+    [sym_key], [ram_seed], [ram_size]); the first call builds it, every
+    call returns a session around {!Verifier.clone} and
+    {!Architecture.clone} of it — observably the same world a fresh
+    build would give. *)
+
+val wire : Verifier.t -> Architecture.prover -> t
+(** Wire an already-built verifier and prover (the verifier provisioned
+    for the prover and holding its reference image) into a session on
+    the verifier's clock. {!create} is [wire] over a clone of the
+    domain's prototype; tests use it to check that against a pair built
+    from scratch. *)
 
 val time : t -> Ra_net.Simtime.t
 val trace : t -> Ra_net.Trace.t

@@ -66,6 +66,10 @@ let of_config (cfg : Config.t) =
       }
   end
 
+let clone t ~time = { t with time; drbg = C.Drbg.copy t.drbg }
+let time t = t.time
+let sym_key t = t.sym_key
+
 let prover_key_blob t =
   Auth.prover_key_blob ~sym_key:t.sym_key
     ~public:(Option.map (fun kp -> kp.C.Ecdsa.public) t.ecdsa)

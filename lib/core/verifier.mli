@@ -47,6 +47,15 @@ val of_config : Config.t -> (t, string) result
 (** Validate and build. [Error] (not an exception) on a [sym_key] that is
     not exactly [Auth.k_attest_len] bytes or an empty [ecdsa_seed]. *)
 
+val clone : t -> time:Ra_net.Simtime.t -> t
+(** A verifier in the same state on clock [time]: it shares the immutable
+    key material (HMAC key context, ECDSA keypair) and the reference
+    image, and copies the challenge DRBG and the counter, so the two
+    evolve independently and identically. *)
+
+val time : t -> Ra_net.Simtime.t
+val sym_key : t -> string
+
 val prover_key_blob : t -> string
 (** The blob to provision into the prover's protected key storage. *)
 

@@ -30,6 +30,8 @@ let create ?(personalization = "") ~seed () =
   update t (seed ^ personalization);
   t
 
+let copy t = { t with v = t.v }
+
 let reseed t entropy = update t entropy
 
 let generate t n =

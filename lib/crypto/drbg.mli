@@ -9,6 +9,10 @@ type t
 val create : ?personalization:string -> seed:string -> unit -> t
 (** Instantiate with entropy [seed] (any length). *)
 
+val copy : t -> t
+(** An independent generator in the same state: both yield the same
+    stream from here on, and drawing from one does not advance the other. *)
+
 val reseed : t -> string -> unit
 
 val generate : t -> int -> string

@@ -45,44 +45,17 @@ type t = {
   interrupt : Interrupt.t;
   energy : Energy.t;
   clock : Clock.t option;
-  clock_impl : clock_impl;
   key_addr : int;
-  key_len : int;
-  ram_size : int;
-  attest_app_flash : bool;
   genesis : genesis;
 }
 
-let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock_none)
-    ?(key_location = Key_in_rom) ?energy ?(rom_images = []) ?(attest_app_flash = false)
-    ~key () =
-  if String.length key = 0 || String.length key > 64 then
-    invalid_arg "Device.create: key must be 1..64 bytes";
-  let open Region in
-  let regions =
-    [
-      make ~name:region_boot ~base:base_rom_boot ~size:4096 ~kind:Rom;
-      make ~name:region_attest ~base:base_rom_attest ~size:8192 ~kind:Rom;
-      make ~name:region_clock ~base:base_rom_clock ~size:1024 ~kind:Rom;
-      make ~name:"rom_key" ~base:base_rom_key ~size:64 ~kind:Rom;
-      make ~name:region_app ~base:base_flash_app ~size:65536 ~kind:Flash;
-      make ~name:"nvram" ~base:base_nvram ~size:256 ~kind:Flash;
-      make ~name:"ram" ~base:base_ram ~size:ram_size ~kind:Ram;
-      make ~name:"idt" ~base:base_idt ~size:256 ~kind:Ram;
-      make ~name:"irq_ctrl" ~base:base_irq_ctrl ~size:16 ~kind:Mmio;
-      make ~name:"clock_msb" ~base:base_clock_msb ~size:8 ~kind:Ram;
-      make ~name:"actuator" ~base:base_actuator ~size:16 ~kind:Mmio;
-      make ~name:"anchor_scratch" ~base:base_anchor_scratch ~size:512 ~kind:Ram;
-    ]
-  in
-  let memory = Memory.create regions in
-  let mpu = Ea_mpu.create ~capacity:mpu_capacity in
+(* Wire the CPU, interrupt controller, energy meter and clock around a
+   provisioned [memory]: the one assembly step behind [create],
+   [power_cycle] and [clone]. *)
+let assemble g ~energy ~mpu memory =
   let cpu = Cpu.create memory mpu ~clock_hz:Timing.siskiyou_hz in
   let interrupt =
     Interrupt.create cpu ~idt_base:base_idt ~vectors:64 ~ctrl_addr:base_irq_ctrl
-  in
-  let energy =
-    match energy with Some e -> e | None -> Energy.create ()
   in
   Cpu.on_advance cpu (fun _ n kind ->
       match kind with
@@ -90,24 +63,8 @@ let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock
       | Cpu.Idle ->
         Energy.consume_sleep energy
           ~seconds:(Int64.to_float n /. float_of_int Timing.siskiyou_hz));
-  (* provision the key, then seal ROM *)
-  let key_addr, key_len =
-    match key_location with
-    | Key_in_rom -> (base_rom_key, String.length key)
-    | Key_in_flash -> (base_nvram + 0x80, String.length key)
-  in
-  Memory.write_bytes memory key_addr key;
-  List.iter
-    (fun (region_name, code) ->
-      let r = Memory.region_named memory region_name in
-      if String.length code > r.Region.size then
-        invalid_arg
-          (Printf.sprintf "Device.create: image for %s exceeds region" region_name);
-      Memory.write_bytes memory r.Region.base code)
-    rom_images;
-  Memory.seal_rom memory;
   let clock =
-    match clock_impl with
+    match g.g_clock_impl with
     | Clock_none -> None
     | Clock_hw { width; divider_log2 } ->
       Some (Clock.create_hw_counter cpu ~width ~divider_log2)
@@ -117,52 +74,76 @@ let rec create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock
            ~msb_addr:base_clock_msb ~timer_vector ~handler_entry:code_clock_entry
            ~handler_region:region_clock)
   in
-  {
-    memory;
-    cpu;
-    mpu;
-    interrupt;
-    energy;
-    clock;
-    clock_impl;
-    key_addr;
-    key_len;
-    ram_size;
-    attest_app_flash;
-    genesis =
-      {
-        g_ram_size = ram_size;
-        g_mpu_capacity = mpu_capacity;
-        g_clock_impl = clock_impl;
-        g_key_location = key_location;
-        g_key = key;
-        g_attest_app_flash = attest_app_flash;
-      };
-  }
-
-(* Reboot: non-volatile regions (ROM + flash) carry over byte-exact; the
-   battery object is shared (charge does not reset); everything else is
-   rebuilt from the genesis configuration. *)
-and power_cycle t =
-  let g = t.genesis in
-  let fresh =
-    create ~ram_size:g.g_ram_size ~mpu_capacity:g.g_mpu_capacity
-      ~clock_impl:g.g_clock_impl ~key_location:g.g_key_location ~energy:t.energy
-      ~attest_app_flash:g.g_attest_app_flash ~key:g.g_key ()
+  let key_addr =
+    match g.g_key_location with
+    | Key_in_rom -> base_rom_key
+    | Key_in_flash -> base_nvram + 0x80
   in
-  (* the fresh ROM is sealed, so copy non-volatile contents via a
-     transiently unsealed memory image: rebuild region by region *)
-  List.iter
-    (fun r ->
-      match r.Region.kind with
-      | Region.Rom | Region.Flash ->
-        let contents = Memory.read_bytes t.memory r.Region.base r.Region.size in
-        Memory.copy_raw (memory_of fresh) ~base:r.Region.base contents
-      | Region.Ram | Region.Mmio -> ())
-    (Memory.regions t.memory);
-  fresh
+  { memory; cpu; mpu; interrupt; energy; clock; key_addr; genesis = g }
 
-and memory_of t = t.memory
+let create ?(ram_size = 512 * 1024) ?(mpu_capacity = 8) ?(clock_impl = Clock_none)
+    ?(key_location = Key_in_rom) ?energy ?(rom_images = []) ?(attest_app_flash = false)
+    ~key () =
+  if String.length key = 0 || String.length key > 64 then
+    invalid_arg "Device.create: key must be 1..64 bytes";
+  let open Region in
+  let memory =
+    Memory.create
+      [
+        make ~name:region_boot ~base:base_rom_boot ~size:4096 ~kind:Rom;
+        make ~name:region_attest ~base:base_rom_attest ~size:8192 ~kind:Rom;
+        make ~name:region_clock ~base:base_rom_clock ~size:1024 ~kind:Rom;
+        make ~name:"rom_key" ~base:base_rom_key ~size:64 ~kind:Rom;
+        make ~name:region_app ~base:base_flash_app ~size:65536 ~kind:Flash;
+        make ~name:"nvram" ~base:base_nvram ~size:256 ~kind:Flash;
+        make ~name:"ram" ~base:base_ram ~size:ram_size ~kind:Ram;
+        make ~name:"idt" ~base:base_idt ~size:256 ~kind:Ram;
+        make ~name:"irq_ctrl" ~base:base_irq_ctrl ~size:16 ~kind:Mmio;
+        make ~name:"clock_msb" ~base:base_clock_msb ~size:8 ~kind:Ram;
+        make ~name:"actuator" ~base:base_actuator ~size:16 ~kind:Mmio;
+        make ~name:"anchor_scratch" ~base:base_anchor_scratch ~size:512 ~kind:Ram;
+      ]
+  in
+  let g =
+    {
+      g_ram_size = ram_size;
+      g_mpu_capacity = mpu_capacity;
+      g_clock_impl = clock_impl;
+      g_key_location = key_location;
+      g_key = key;
+      g_attest_app_flash = attest_app_flash;
+    }
+  in
+  let energy = match energy with Some e -> e | None -> Energy.create () in
+  let t = assemble g ~energy ~mpu:(Ea_mpu.create ~capacity:mpu_capacity) memory in
+  (* provision the key, then seal ROM *)
+  Memory.write_bytes memory t.key_addr key;
+  List.iter
+    (fun (region_name, code) ->
+      let r = Memory.region_named memory region_name in
+      if String.length code > r.Region.size then
+        invalid_arg
+          (Printf.sprintf "Device.create: image for %s exceeds region" region_name);
+      Memory.write_bytes memory r.Region.base code)
+    rom_images;
+  Memory.seal_rom memory;
+  t
+
+(* Reboot: non-volatile regions (ROM + flash) carry over byte-exact,
+   shared copy-on-write with the old instance; the battery object is
+   shared (charge does not reset); everything else starts from reset. *)
+let power_cycle t =
+  assemble t.genesis ~energy:t.energy
+    ~mpu:(Ea_mpu.create ~capacity:t.genesis.g_mpu_capacity)
+    (Memory.power_cycle t.memory)
+
+let clone t =
+  if Cpu.cycles t.cpu <> 0L || Cpu.faults t.cpu <> [] then
+    invalid_arg "Device.clone: the device has already run";
+  let mpu = Ea_mpu.create ~capacity:t.genesis.g_mpu_capacity in
+  List.iter (Ea_mpu.program mpu) (Ea_mpu.rules t.mpu);
+  if Ea_mpu.is_locked t.mpu then Ea_mpu.lock mpu;
+  assemble t.genesis ~energy:(Energy.copy t.energy) ~mpu (Memory.clone t.memory)
 
 let memory t = t.memory
 let cpu t = t.cpu
@@ -170,20 +151,20 @@ let mpu t = t.mpu
 let interrupt t = t.interrupt
 let energy t = t.energy
 let clock t = t.clock
-let clock_impl t = t.clock_impl
+let clock_impl t = t.genesis.g_clock_impl
 let key_addr t = t.key_addr
-let key_len t = t.key_len
+let key_len t = String.length t.genesis.g_key
 let counter_addr _ = base_nvram
 let clock_msb_addr _ = base_clock_msb
 let idt_base _ = base_idt
 let idt_size t = Interrupt.idt_size t.interrupt
 let irq_ctrl_addr _ = base_irq_ctrl
 let attested_base _ = base_ram
-let attested_len t = t.ram_size
+let attested_len t = t.genesis.g_ram_size
 
 let attested_ranges t =
-  (base_ram, t.ram_size)
-  :: (if t.attest_app_flash then [ (base_flash_app, 65536) ] else [])
+  (base_ram, t.genesis.g_ram_size)
+  :: (if t.genesis.g_attest_app_flash then [ (base_flash_app, 65536) ] else [])
 
 let attested_total_len t =
   List.fold_left (fun acc (_, len) -> acc + len) 0 (attested_ranges t)
@@ -192,7 +173,7 @@ let rule_protect_key t =
   {
     Ea_mpu.rule_name = "K_attest";
     data_base = t.key_addr;
-    data_size = t.key_len;
+    data_size = key_len t;
     read_by = Ea_mpu.Code_in [ region_attest ];
     write_by = Ea_mpu.Nobody;
   }
@@ -249,9 +230,10 @@ let fill_ram_deterministic t ~seed =
   let prng = Ra_crypto.Prng.create seed in
   (* chunked writes keep allocation bounded for large RAM sizes *)
   let chunk = 4096 in
+  let ram_size = t.genesis.g_ram_size in
   let rec loop off =
-    if off < t.ram_size then begin
-      let n = min chunk (t.ram_size - off) in
+    if off < ram_size then begin
+      let n = min chunk (ram_size - off) in
       Memory.write_bytes t.memory (base_ram + off) (Ra_crypto.Prng.bytes prng n);
       loop (off + n)
     end

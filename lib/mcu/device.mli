@@ -137,4 +137,13 @@ val power_cycle : t -> t
     reset — clocks restart from zero, which is precisely why the paper's
     future-work item 2 (clock resynchronization) exists, and why the
     request counter must live in NVM (§4.2). Secure boot must run again
-    on the new instance. *)
+    on the new instance. ROM and flash are shared copy-on-write with [t]:
+    a later write on either instance is invisible to the other. *)
+
+val clone : t -> t
+(** An identical device that has not run: ROM and flash shared
+    copy-on-write, RAM and MMIO copied, the same EA-MPU rules and lock
+    state, a copy of the battery. Cycles, clock and interrupt statistics
+    start at zero, as on [t].
+    @raise Invalid_argument if [t] has consumed cycles or recorded a
+    protection fault. *)

@@ -24,6 +24,8 @@ let create ?(capacity_joules = default_capacity_joules)
     consumed = 0.0;
   }
 
+let copy t = { t with consumed = t.consumed }
+
 let consume_cycles t cycles =
   t.consumed <- t.consumed +. (Int64.to_float cycles *. t.active_nj_per_cycle *. 1e-9)
 

@@ -35,6 +35,9 @@ val consume_radio : t -> bytes:int -> unit
 (** Charge radio energy for transmitting or receiving a frame. Protocol
     messages cost energy too — a flood hurts even before the CPU runs. *)
 
+val copy : t -> t
+(** An independent battery with the same parameters and charge. *)
+
 val consumed_joules : t -> float
 val remaining_joules : t -> float
 val depleted : t -> bool

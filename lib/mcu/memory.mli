@@ -34,7 +34,12 @@ val write_u32 : t -> int -> int -> unit
 val read_u64 : t -> int -> int64
 val write_u64 : t -> int -> int64 -> unit
 
-val copy_raw : t -> base:int -> string -> unit
-(** Write bytes ignoring ROM sealing. This is not a software path: it
-    models physically persistent silicon contents carried across a power
-    cycle (see [Device.power_cycle]). *)
+val clone : t -> t
+(** A copy whose ROM and flash share their bytes with [t] copy-on-write
+    (the first write on either side copies the region) and whose RAM and
+    MMIO are copied. Sealing carries over. *)
+
+val power_cycle : t -> t
+(** Like {!clone}, but RAM and MMIO start zeroed: the contents physically
+    persistent silicon carries across a power cycle (see
+    [Device.power_cycle]). *)

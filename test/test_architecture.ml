@@ -116,8 +116,13 @@ let test_deterministic_reference_image () =
     (Code_attest.measure_memory p1.Architecture.anchor
     <> Code_attest.measure_memory p3.Architecture.anchor)
 
+let test_app_image_digest () =
+  Alcotest.(check string) "hoisted boot digest" (Secure_boot.digest_image Architecture.app_image)
+    Architecture.app_image_digest
+
 let tests =
   [
+    Alcotest.test_case "app image digest" `Quick test_app_image_digest;
     Alcotest.test_case "all specs boot" `Quick test_all_specs_boot;
     Alcotest.test_case "rule counts per spec" `Quick test_spec_rule_counts;
     Alcotest.test_case "lock states" `Quick test_lock_states;

@@ -22,6 +22,22 @@ let test_nv_state_survives () =
   Alcotest.(check string) "key survives (ROM)" key
     (Memory.read_bytes (Device.memory d') (Device.key_addr d') (Device.key_len d'))
 
+let test_flash_diverges_after_reboot () =
+  (* the rebooted device shares flash with the old one copy-on-write: a
+     write on either side stays on that side *)
+  let d = Device.create ~ram_size:2048 ~key () in
+  Memory.write_bytes (Device.memory d) 0x010000 "app-v1";
+  let d' = Device.power_cycle d in
+  let flash dev = Memory.read_bytes (Device.memory dev) 0x010000 6 in
+  Memory.write_bytes (Device.memory d') 0x010000 "app-v2";
+  Alcotest.(check string) "old device keeps its flash" "app-v1" (flash d);
+  Alcotest.(check string) "rebooted device sees its write" "app-v2" (flash d');
+  let d'' = Device.power_cycle d' in
+  Memory.write_byte (Device.memory d') 0x010000 (Char.code 'X');
+  Alcotest.(check string) "next reboot keeps the pre-write flash" "app-v2" (flash d'');
+  Alcotest.(check string) "writer sees its own byte" "Xpp-v2" (flash d');
+  Alcotest.(check string) "first device untouched" "app-v1" (flash d)
+
 let test_volatile_state_cleared () =
   let d = Device.create ~ram_size:2048 ~key () in
   Device.fill_ram_deterministic d ~seed:3L;
@@ -139,6 +155,8 @@ let test_ram_nonce_history_is_lost_conceptually () =
 let tests =
   [
     Alcotest.test_case "non-volatile state survives" `Quick test_nv_state_survives;
+    Alcotest.test_case "flash diverges after reboot" `Quick
+      test_flash_diverges_after_reboot;
     Alcotest.test_case "volatile state cleared" `Quick test_volatile_state_cleared;
     Alcotest.test_case "battery charge not reset" `Quick test_battery_charge_not_reset;
     Alcotest.test_case "clock restart breaks timestamps" `Quick
