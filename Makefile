@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke chaos-smoke trace-smoke sched-smoke shard-smoke prof-smoke server-smoke forensics-smoke session-smoke examples docs clean loc
+.PHONY: all build test bench bench-smoke chaos-smoke trace-smoke shard-smoke prof-smoke server-smoke forensics-smoke session-smoke examples docs clean loc
 
 all: build
 
@@ -28,17 +28,10 @@ trace-smoke:
 	dune exec bin/ra_cli.exe -- trace --selftest
 	BENCH_SMOKE=1 dune exec bench/main.exe -- trace
 
-# event-queue scheduler sanity: CLI selftest (engine equivalence, deferred
-# delivery, determinism), then the 10k-device sweep gate (BENCH_sched.json)
-sched-smoke:
-	dune exec bin/ra_cli.exe -- sched --selftest
-	BENCH_SMOKE=1 dune exec bench/main.exe -- sched
-
-# sharded-engine sanity: CLI selftest at 4 shards (sharded sweep/chaos vs
-# the sequential oracle, pooled sweep_par, stream-fingerprint invariance),
-# then the reduced sched bench (scaling grid + stream + gate bookkeeping)
+# fleet-engine sanity: the reduced sched bench (shard fold timings,
+# stream fingerprint invariance, scaling grid, gate bookkeeping); engine
+# identity against the reference fold is covered by dune runtest
 shard-smoke:
-	dune exec bin/ra_cli.exe -- sched --selftest --shards 4
 	BENCH_SMOKE=1 dune exec bench/main.exe -- sched
 
 # profiler sanity: CLI selftest (cycle-exact attribution, symbolization,
@@ -58,7 +51,7 @@ server-smoke:
 	BENCH_SMOKE=1 dune exec bench/main.exe -- server
 
 # failure-forensics sanity: CLI selftest (capsule JSON round-trips,
-# engine/shard-invariant capsule streams, byte-identical replay, ranked
+# shard-invariant capsule streams, byte-identical replay, ranked
 # triage, bucket exemplars, capture wire-neutrality), then the reduced
 # forensics bench (BENCH_forensics.json: capture-overhead gate + replay
 # identity at 10k devices in the full run); leaves the diagnosis report
@@ -67,11 +60,11 @@ forensics-smoke:
 	dune exec bin/ra_cli.exe -- replay --selftest --diagnosis diagnosis.jsonl --perfetto replay.perfetto.json
 	BENCH_SMOKE=1 dune exec bench/main.exe -- forensics
 
-# secure-session sanity: CLI selftest (deterministic transcripts, engine
+# secure-session sanity: CLI selftest (deterministic transcripts, shard-count
 # identity, observability wire-neutrality, loss convergence, and the
 # MITM/splice/replay/tamper adversary suite), then the reduced session
 # bench (BENCH_session.json: record throughput, handshake amortization,
-# engine-identical convergence under 20% loss)
+# shard-identical convergence under 20% loss)
 session-smoke:
 	dune exec bin/ra_cli.exe -- session --selftest
 	BENCH_SMOKE=1 dune exec bench/main.exe -- session

@@ -638,219 +638,6 @@ let trace_cmd =
        ~doc:"Record causally-traced chaos rounds and export a Perfetto trace")
     Term.(const run_trace $ n $ rounds $ loss $ out $ selftest)
 
-(* ---- sched ---- *)
-
-let run_sched n rounds loss shards selftest =
-  if n < 1 || n > 1000 then begin
-    Printf.eprintf "fleet size must be 1..1000\n";
-    1
-  end
-  else if not (loss >= 0.0 && loss < 1.0) then begin
-    Printf.eprintf "loss must be in [0, 1)\n";
-    1
-  end
-  else if shards < 1 || shards > 64 then begin
-    Printf.eprintf "shards must be 1..64\n";
-    1
-  end
-  else begin
-    let names = List.init n (Printf.sprintf "device-%02d") in
-    let member_clock m = Ra_net.Simtime.now (Session.time (Fleet.member_session m)) in
-    (* everything observable about a fleet: verdict ledger, member
-       clocks and the raw wire transcripts — the event engine must
-       reproduce all of it byte-for-byte *)
-    let fleet_state f =
-      ( Fleet.summary f,
-        List.map Fleet.member_history (Fleet.members f),
-        List.map member_clock (Fleet.members f),
-        List.map
-          (fun m -> Ra_net.Channel.transcript (Session.channel (Fleet.member_session m)))
-          (Fleet.members f) )
-    in
-    let sweep_with engine =
-      let f = Fleet.create ~ram_size:4096 ~names () in
-      Fleet.advance f ~seconds:1.0;
-      let verdicts = Fleet.sweep ~engine f in
-      (verdicts, fleet_state f)
-    in
-    let sweep_seq = sweep_with `Seq in
-    let sweep_ev = sweep_with `Events in
-    let sweep_sh = sweep_with (`Shards shards) in
-    let chaos_with engine =
-      let f = Fleet.create ~ram_size:4096 ~names () in
-      Fleet.enable_tracing f;
-      let grid =
-        Fleet.chaos_sweep ~seed:42L ~engine ~rounds_per_member:rounds
-          ~losses:[ 0.0; loss ]
-          ~policies:[ ("default", Retry.default) ]
-          f
-      in
-      (grid, fleet_state f, Fleet.recent_rounds f)
-    in
-    let chaos_seq = chaos_with `Seq in
-    let chaos_ev = chaos_with `Events in
-    let chaos_sh = chaos_with (`Shards shards) in
-    let grid, _, _ = chaos_ev in
-    Printf.printf
-      "engines: sequential oracle vs event queue vs %d shard%s, %d members x %d \
-       rounds\n\n"
-      shards
-      (if shards = 1 then "" else "s")
-      n rounds;
-    Printf.printf "%-8s %12s %14s %10s %10s\n" "loss" "converged" "mean attempts"
-      "p50 (s)" "p99 (s)";
-    List.iter
-      (fun c ->
-        Printf.printf "%-8s %11.1f%% %14.2f %10.3f %10.3f\n"
-          (Printf.sprintf "%.0f%%" (100.0 *. c.Fleet.c_loss))
-          (Fleet.convergence_pct c) c.Fleet.c_mean_attempts c.Fleet.c_p50_s
-          c.Fleet.c_p99_s)
-      grid;
-    Printf.printf "\nsweep identical across engines: %b (events), %b (shards)\n"
-      (sweep_seq = sweep_ev) (sweep_seq = sweep_sh);
-    Printf.printf "traced chaos identical across engines: %b (events), %b (shards)\n"
-      (chaos_seq = chaos_ev) (chaos_seq = chaos_sh);
-    if not selftest then 0
-    else begin
-      let failures = ref [] in
-      let check name ok = if not ok then failures := name :: !failures in
-      check "sweep: verdicts, ledgers, clocks and transcripts identical"
-        (sweep_seq = sweep_ev);
-      (let g1, s1, _ = chaos_seq
-       and g2, s2, _ = chaos_ev in
-       check "chaos: grid, ledgers, clocks and transcripts identical"
-         (g1 = g2 && s1 = s2));
-      (let _, _, r1 = chaos_seq
-       and _, _, r2 = chaos_ev in
-       check "flight recorders identical across engines" (r1 = r2));
-      check "event engine deterministic across runs" (chaos_with `Events = chaos_ev);
-      (* the sharded engine must agree with the oracle on everything —
-         including flight recorders — at several shard counts, not just
-         the one requested on the command line *)
-      check
-        (Printf.sprintf "sharded sweep identical to oracle at %d shards" shards)
-        (sweep_seq = sweep_sh);
-      check
-        (Printf.sprintf "sharded chaos identical to oracle at %d shards" shards)
-        (chaos_seq = chaos_sh);
-      List.iter
-        (fun k ->
-          check
-            (Printf.sprintf "sharded chaos identical to oracle at %d shards" k)
-            (chaos_with (`Shards k) = chaos_seq))
-        (List.filter (fun k -> k <> shards) [ 1; 2; 3; 7 ]);
-      (* pooled parallel sweep: same verdicts and ledgers as the oracle *)
-      (let f_seq = Fleet.create ~ram_size:4096 ~names () in
-       let f_par = Fleet.create ~ram_size:4096 ~names () in
-       let a = Fleet.sweep f_seq in
-       let b = Fleet.sweep_par ~domains:4 f_par in
-       check "pooled sweep_par identical to sweep"
-         (a = b && Fleet.summary f_seq = Fleet.summary f_par));
-      (* streaming sweep: fingerprint independent of the shard count *)
-      (let fp k =
-         (Fleet.stream_sweep ~ram_size:4096 ~shards:k ~members:n ())
-           .Fleet.st_fingerprint
-       in
-       let base = fp 1 in
-       check "stream fingerprint invariant across shard counts"
-         (List.for_all (fun k -> fp k = base) [ 2; shards ]));
-      (* scheduler primitives: tie order is insertion order, past events
-         clamp to now instead of rewinding the timeline *)
-      let sched = Sched.create () in
-      let order = ref [] in
-      Sched.at sched ~at:2.0 (fun () -> order := "b" :: !order);
-      Sched.at sched ~at:1.0 (fun () ->
-          order := "a" :: !order;
-          Sched.at sched ~at:0.5 (fun () -> order := "clamped" :: !order));
-      ignore (Sched.run sched);
-      check "ties and past events fire deterministically"
-        (List.rev !order = [ "a"; "clamped"; "b" ] && Sched.now sched = 2.0);
-      (* delayed delivery through the queue: the defer hook turns an
-         inline Delay impairment into a scheduled delivery event *)
-      let time = Ra_net.Simtime.create () in
-      let ch = Ra_net.Channel.create time (Ra_net.Trace.create time) in
-      let got = ref [] in
-      let (_ : string Ra_net.Channel.Endpoint.handle) =
-        Ra_net.Channel.Endpoint.attach ch Ra_net.Channel.Prover_side (fun m ->
-            got := m :: !got)
-      in
-      Ra_net.Channel.set_impairment ch
-        (Some
-           (Ra_net.Impairment.create
-              ~to_prover:{ Ra_net.Impairment.pristine with delay = 1.0; delay_s = 0.5 }
-              ~seed:5L ()));
-      let dsched = Sched.create () in
-      Ra_net.Channel.set_defer ch
-        (Some
-           (fun delay deliver ->
-             Sched.after dsched ~delay (fun () ->
-                 Ra_net.Simtime.advance_to time (Sched.now dsched);
-                 deliver ())));
-      Ra_net.Channel.send ch ~src:Ra_net.Channel.Verifier_side "deferred";
-      let (_ : bool) = Ra_net.Channel.forward_next ch ~dst:Ra_net.Channel.Prover_side in
-      check "delayed delivery lands in the queue, not inline"
-        (!got = [] && Sched.pending dsched = 1);
-      ignore (Sched.run dsched);
-      check "deferred delivery fires at its delay"
-        (!got = [ "deferred" ] && Ra_net.Simtime.now time = Sched.now dsched);
-      let exposition = Ra_obs.Export.render_prometheus Ra_obs.Registry.default in
-      let has family = Ra_net.Trace.contains_substring ~needle:family exposition in
-      List.iter
-        (fun family -> check ("exposition family " ^ family) (has family))
-        [
-          "ra_sched_events_total{";
-          "ra_sched_queue_depth";
-          "ra_sched_lag_seconds_bucket{";
-        ];
-      check "scheduler fired at least one event per member round"
-        (Ra_obs.Registry.Counter.value
-           (Ra_obs.Registry.Counter.get ~labels:[ ("kind", "fired") ]
-              "ra_sched_events_total")
-        >= n * rounds);
-      check "paper model unchanged" (Experiment.table2 () = Experiment.expected_table2);
-      match !failures with
-      | [] ->
-        print_endline "sched selftest ok";
-        0
-      | fs ->
-        List.iter (fun f -> Printf.eprintf "sched selftest FAILED: %s\n" f) (List.rev fs);
-        1
-    end
-  end
-
-let sched_cmd =
-  let n =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "size"; "members" ] ~docv:"N" ~doc:"Fleet size (members).")
-  in
-  let rounds =
-    Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds per member per cell.")
-  in
-  let loss =
-    Arg.(value & opt float 0.2 & info [ "loss" ] ~docv:"P"
-           ~doc:"Per-direction loss probability for the lossy cell.")
-  in
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"K"
-           ~doc:"Shard count for the sharded engine (contiguous member ranges, \
-                 one event timeline per shard on the persistent domain pool).")
-  in
-  let selftest =
-    Arg.(value & flag & info [ "selftest" ]
-           ~doc:"Verify engine equivalence (verdicts, ledgers, transcripts, flight \
-                 recorders) across the sequential, event and sharded engines at \
-                 several shard counts, the pooled parallel sweep, streaming \
-                 fingerprint shard-invariance, scheduler determinism, deferred \
-                 delivery and the ra_sched_* metric families; non-zero exit on \
-                 failure.")
-  in
-  Cmd.v
-    (Cmd.info "sched"
-       ~doc:"Run fleet sweeps on the deterministic event queue and compare engines")
-    Term.(const run_sched $ n $ rounds $ loss $ shards $ selftest)
-
 (* ---- serve ---- *)
 
 let serve_sym_key = "K_attest_0123456789."
@@ -1147,8 +934,8 @@ let run_prof n rounds loss shards period out folded_out selftest =
                not (String.length leaf >= 2 && String.sub leaf 0 2 = "0x")))
         /. Int64.to_float total
     in
-    (* --- fleet run: traced+profiled chaos rounds on the sharded engine,
-       then one sharded sweep recording the queue-depth counter track --- *)
+    (* --- fleet run: traced+profiled chaos rounds, then one sweep, on the
+       sharded engine --- *)
     let names = List.init n (Printf.sprintf "device-%02d") in
     let fleet_profile () =
       let fleet = Fleet.create ~ram_size:4096 ~names () in
@@ -1161,16 +948,12 @@ let run_prof n rounds loss shards period out folded_out selftest =
           ~policies:[ ("default", Retry.default) ]
           fleet
       in
-      let tracks =
-        Array.init shards (fun i ->
-            Profiler.Track.create (Printf.sprintf "queue-depth/shard-%d" i))
-      in
       let (_ : (string * Verdict.t option) list) =
-        Fleet.sweep_shards ~tracks ~shards fleet
+        Fleet.sweep ~engine:(`Shards shards) fleet
       in
-      (fleet, Profiler.Track.merge ~name:"ra_sched_queue_depth" (Array.to_list tracks))
+      fleet
     in
-    let fleet, track = fleet_profile () in
+    let fleet = fleet_profile () in
     let prof = Fleet.profile ~shards fleet in
     let fleet_folded = Profiler.folded prof in
     let fleet_jsonl = Ra_obs.Export.profile_jsonl prof in
@@ -1181,7 +964,7 @@ let run_prof n rounds loss shards period out folded_out selftest =
     let folded_text = Profiler.folded prof in
     let phases = Profiler.Phases.samples prof.Profiler.phases in
     let perfetto =
-      Ra_obs.Export.perfetto_string ~counters:[ track ] ~phases
+      Ra_obs.Export.perfetto_string ~phases
         (Fleet.recent_rounds fleet)
     in
     Printf.printf
@@ -1209,8 +992,6 @@ let run_prof n rounds loss shards period out folded_out selftest =
       (fun (phase, (cycles, nj, samples)) ->
         Printf.printf "%-12s %14Ld %16.1f %8d\n" phase cycles nj samples)
       (Profiler.Phases.totals prof.Profiler.phases);
-    Printf.printf "queue-depth counter track: %d points\n"
-      (List.length (Profiler.Track.points track));
     (match folded_out with
     | None -> ()
     | Some path ->
@@ -1263,7 +1044,7 @@ let run_prof n rounds loss shards period out folded_out selftest =
       let base = merged 1 in
       check "fleet profile byte-identical at shard counts 1/2/4"
         (List.for_all (fun k -> merged k = base) [ 2; 4 ]);
-      (let fleet2, _ = fleet_profile () in
+      (let fleet2 = fleet_profile () in
        let p2 = Fleet.profile ~shards fleet2 in
        check "fleet profile deterministic across runs"
          (String.equal fleet_folded (Profiler.folded p2)
@@ -1273,7 +1054,7 @@ let run_prof n rounds loss shards period out folded_out selftest =
         (match Ra_obs.Export.parse_jsonl fleet_jsonl with
         | Ok js -> js <> []
         | Error _ -> false);
-      (* --- Perfetto export parses and carries counter + phase tracks --- *)
+      (* --- Perfetto export parses and carries the phase instants --- *)
       (match Ra_obs.Json.of_string perfetto with
       | Error _ -> check "perfetto JSON parses" false
       | Ok j ->
@@ -1282,15 +1063,6 @@ let run_prof n rounds loss shards period out folded_out selftest =
           | Some (Ra_obs.Json.Arr evs) -> evs
           | _ -> []
         in
-        let has_ph p =
-          List.exists
-            (fun ev ->
-              match Ra_obs.Json.member "ph" ev with
-              | Some (Ra_obs.Json.Str s) -> s = p
-              | _ -> false)
-            evs
-        in
-        check "perfetto counter-track events present" (has_ph "C");
         check "perfetto phase instants present"
           (List.exists
              (fun ev ->
@@ -1314,15 +1086,6 @@ let run_prof n rounds loss shards period out folded_out selftest =
         ((not retried) || List.mem_assoc "wait" totals);
       check "no phase samples dropped from the merged ring"
         (Profiler.Phases.dropped prof.Profiler.phases = 0);
-      (* --- queue-depth track is non-empty and chronological --- *)
-      let pts = Profiler.Track.points track in
-      check "queue-depth track recorded" (pts <> []);
-      check "queue-depth track chronological"
-        (let rec mono = function
-           | (a, _) :: ((b, _) :: _ as tl) -> a <= b && mono tl
-           | _ -> true
-         in
-         mono pts);
       (* --- profiling never touches the wire: byte-identical transcripts --- *)
       let transcript_of profiled =
         let s = Session.create ~ram_size:4096 () in
@@ -1391,8 +1154,8 @@ let prof_cmd =
   in
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Write the Perfetto trace-event JSON (causal rounds, phase \
-                 instants, queue-depth counter track) here.")
+           ~doc:"Write the Perfetto trace-event JSON (causal rounds and phase \
+                 instants) here.")
   in
   let folded =
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE"
@@ -1554,10 +1317,10 @@ let run_replay n rounds loss seed diagnosis_out capsules_out perfetto_out selfte
         Forensics.capsules_jsonl (Fleet.capsules f)
       in
       let base = Forensics.capsules_jsonl caps in
-      check "capsule stream identical across engines and shard counts"
+      check "capsule stream identical across shard counts"
         (List.for_all
            (fun e -> String.equal (stream e) base)
-           [ `Seq; `Events; `Shards 1; `Shards 2; `Shards 4 ]);
+           [ `Seq; `Shards 1; `Shards 2; `Shards 4 ]);
       (* --- every capsule replays byte-identically --- *)
       check "every capsule replays byte-identically"
         (List.for_all
@@ -1637,7 +1400,7 @@ let replay_cmd =
   in
   let selftest =
     Arg.(value & flag & info [ "selftest" ]
-           ~doc:"Verify capsule JSON round-trips, engine/shard-invariant capsule \
+           ~doc:"Verify capsule JSON round-trips, shard-invariant capsule \
                  streams, byte-identical replay of every capsule, ranked triage, \
                  bucket exemplars, and capture wire-neutrality; non-zero exit on \
                  failure.")
@@ -1730,16 +1493,13 @@ let run_session n rounds records loss seed selftest =
         (r1.Session.r_verdict = r2.Session.r_verdict
         && r1.Session.r_attempts = r2.Session.r_attempts);
       check "session verdict trusted" (r1.Session.r_verdict = Verdict.Trusted);
-      (* --- all three engines produce byte-identical fleets --- *)
+      (* --- every shard count produces a byte-identical fleet --- *)
       let fingerprint ?engine ?observe () =
         let f, cs = sweep ?engine ?observe () in
         (Fleet.fingerprint f, cs)
       in
       let fp_seq, cells_seq = fingerprint () in
-      let fp_ev, cells_ev = fingerprint ~engine:`Events () in
       let fp_sh, cells_sh = fingerprint ~engine:(`Shards 2) () in
-      check "engines byte-identical (events)"
-        (String.equal fp_seq fp_ev && cells_seq = cells_ev);
       check "engines byte-identical (shards)"
         (String.equal fp_seq fp_sh && cells_seq = cells_sh);
       (* --- tracing/profiling/forensics never touch the wire --- *)
@@ -1894,7 +1654,7 @@ let session_cmd =
   in
   let selftest =
     Arg.(value & flag & info [ "selftest" ]
-           ~doc:"Verify deterministic session transcripts, engine-identical \
+           ~doc:"Verify deterministic session transcripts, shard-identical \
                  fleets, observability wire-neutrality, >= 99% convergence \
                  under loss, and that MITM substitution, cross-session \
                  splices, replays and tampered records all reject; non-zero \
@@ -1910,6 +1670,6 @@ let main =
   Cmd.group
     (Cmd.info "ra_cli" ~version:"1.0.0"
        ~doc:"Prover-side remote attestation: protocol, attacks, and costs")
-    [ attest_cmd; attack_cmd; table2_cmd; costs_cmd; auth_cost_cmd; fleet_cmd; lattice_cmd; inspect_cmd; stats_cmd; chaos_cmd; trace_cmd; sched_cmd; serve_cmd; prof_cmd; replay_cmd; session_cmd ]
+    [ attest_cmd; attack_cmd; table2_cmd; costs_cmd; auth_cost_cmd; fleet_cmd; lattice_cmd; inspect_cmd; stats_cmd; chaos_cmd; trace_cmd; serve_cmd; prof_cmd; replay_cmd; session_cmd ]
 
 let () = exit (Cmd.eval' main)

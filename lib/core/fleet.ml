@@ -37,7 +37,7 @@ let member_history m = List.rev m.history
 let sweep_latency_buckets =
   [| 1.0; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 750.0; 1000.0; 2500.0 |]
 
-(* observed from sweep_par workers too: handle is atomic, created once *)
+(* flushed into from every shard's arena: handle is atomic, created once *)
 let sweep_latency =
   Ra_obs.Registry.Histogram.get ~buckets:sweep_latency_buckets
     "ra_fleet_sweep_latency_ms"
@@ -48,7 +48,7 @@ let chaos_latency_buckets =
     10000.0; 30000.0; 60000.0; 120000.0;
   |]
 
-(* observed from chaos workers on several domains: handles are atomic *)
+(* flushed into from every shard's arena: handles are atomic *)
 module Mc = struct
   let round r =
     Ra_obs.Registry.Counter.get ~labels:[ ("result", r) ] "ra_chaos_rounds_total"
@@ -61,12 +61,12 @@ module Mc = struct
       "ra_chaos_round_time_ms"
 end
 
-(* Where sweep and chaos rounds report their observations. The default
-   sink is the shared registry (atomic handles, safe from any domain);
-   the sharded engines substitute a per-shard {!Ra_obs.Arena} sink so
-   the per-round hot path touches only domain-local memory, and the
-   coordinator merges arenas in shard order — same totals, same
-   registry families, deterministic merge. *)
+(* Where sweep and chaos rounds report their observations. [sweep_one]
+   reports straight into the shared registry (atomic handles); the shard
+   fold gives each shard an {!Ra_obs.Arena} sink so the per-round hot
+   path touches only domain-local memory, and the coordinator merges
+   arenas in shard order — same totals, same registry families,
+   deterministic merge. *)
 type obs = {
   o_sweep_ms : float -> unit;
   o_chaos_ms : float -> unit;
@@ -211,11 +211,9 @@ let sweep_one t name = sweep_member global_obs (find t name)
    i+1 stagger steps and ends the sweep with n steps total; the offsets
    are computed by one multiplication instead of accumulating [+. stagger]
    per step, so a 10k-member sweep is O(n) session operations, not O(n²),
-   and member clocks carry no accumulated rounding drift — [sweep],
-   [sweep_par] and the event engine all place member i's round at the
-   {e same} float, bit for bit. (With the 1 s default stagger both forms
-   are exact integers, so the switch is also bit-compatible with the old
-   unit-step accumulation.) *)
+   and member clocks carry no accumulated rounding drift — member i's
+   round lands at the {e same} float at every shard count, and in
+   [stream_sweep], bit for bit. *)
 let pre_offset i = float_of_int (i + 1) *. stagger_seconds
 let post_offset ~n i = (float_of_int n *. stagger_seconds) -. pre_offset i
 
@@ -229,122 +227,41 @@ let sweep_slot obs ~n i m =
   Session.advance_time m.session ~seconds:(post_offset ~n i);
   verdict
 
-let sweep_seq t =
-  let n = List.length t.members in
-  List.mapi (fun i m -> (m.name, sweep_slot global_obs ~n i m)) t.members
+(* ---- the fleet engine ---- *)
 
-(* results arrays are written at the member's own index — disjoint
-   writes under any partition — and read back in index order, so the
-   returned list's order never depends on which domain ran what *)
-let collect members results =
-  Array.to_list
-    (Array.mapi
-       (fun i m ->
-         match results.(i) with
-         | Some verdict -> (m.name, verdict)
-         | None -> assert false)
-       members)
+let shard_count ~who = function
+  | `Seq -> 1
+  | `Shards k when k >= 1 -> k
+  | `Shards _ -> invalid_arg (who ^ ": shards must be >= 1")
 
-(* Event-engine sweep over one member range: the staggered slots become
-   events on the given timeline — member i's round fires at
-   [pre_offset i] relative to the sweep start. Sessions are independent
-   worlds, so ordering execution through the heap instead of a list fold
-   changes nothing observable; the scheduler records its depth/lag
-   metrics (into whatever sink it was created with) on the way through. *)
-let sweep_events_range obs sched members ~n ~lo ~hi results =
-  for i = lo to hi - 1 do
-    let m = members.(i) in
-    Sched.at sched ~at:(pre_offset i) (fun () ->
-        (* same operation sequence as [sweep_slot], with the lag probe
-           between round and fast-forward: the lead over the timeline
-           is the round's own simulated work, not the bookkeeping jump
-           to the sweep's end *)
-        Session.advance_time m.session ~seconds:(pre_offset i);
-        let verdict = sweep_member obs m in
-        Sched.observe_lag sched
-          ~member_now:(Ra_net.Simtime.now (Session.time m.session));
-        Session.advance_time m.session ~seconds:(post_offset ~n i);
-        results.(i) <- Some verdict)
-  done
-
-let sweep_events t =
-  let members = Array.of_list t.members in
-  let n = Array.length members in
-  let results = Array.make n None in
-  let sched = Sched.create () in
-  sweep_events_range global_obs sched members ~n ~lo:0 ~hi:n results;
-  let (_ : int) = Sched.run sched in
-  collect members results
-
-(* Sharded event-engine sweep: each shard owns a contiguous member
-   range, its own heap and its own metrics arena; shard bodies touch no
-   shared mutable state except their disjoint slice of [results]. The
-   deterministic merge is the combination of [collect] (member order)
-   and flushing the arenas in shard order after every shard quiesced. *)
-let sweep_shards ?pool ?tracks ~shards t =
-  if shards < 1 then invalid_arg "Fleet.sweep: shards must be >= 1";
-  (match tracks with
-  | Some arr when Array.length arr <> shards ->
-    invalid_arg "Fleet.sweep: tracks array must have one track per shard"
-  | Some _ | None -> ());
-  let members = Array.of_list t.members in
-  let n = Array.length members in
-  let results = Array.make n None in
-  let parts = Shard.partition ~members:n ~shards in
+(* The one way a fleet runs its members. The members split into
+   [shards] contiguous ranges ({!Shard.partition}); every shard runs on
+   the shared pool ({!Shard.run} — one shard runs on the caller) and
+   calls [member s obs i] for each of its members in index order, with
+   [obs] reporting into the shard's own metrics arena. Sessions share no
+   state, so running each member's rounds inline is all the ordering a
+   sweep needs. Per-member outputs land at the member's own index;
+   after the shards quiesce the coordinator flushes the arenas in shard
+   order, so every output is the same at every shard count. *)
+let fold ~shards ~members member =
+  let parts = Shard.partition ~members ~shards in
   let arenas = Array.init shards (fun _ -> Ra_obs.Arena.create ()) in
-  Shard.run ?pool ~shards (fun s ->
-      let arena = arenas.(s) in
-      let track = Option.map (fun arr -> arr.(s)) tracks in
-      let sched = Sched.create ~metrics:(Sched.arena_metrics arena) ?track () in
+  Shard.run ~shards (fun s ->
+      let obs = arena_obs arenas.(s) in
       let { Shard.sh_lo; sh_hi } = parts.(s) in
-      sweep_events_range (arena_obs arena) sched members ~n ~lo:sh_lo ~hi:sh_hi
-        results;
-      let (_ : int) = Sched.run sched in
-      ());
-  Array.iter Ra_obs.Arena.flush arenas;
-  collect members results
+      for i = sh_lo to sh_hi - 1 do
+        member s obs i
+      done);
+  Array.iter Ra_obs.Arena.flush arenas
 
 let sweep ?(engine = `Seq) t =
-  match engine with
-  | `Seq -> sweep_seq t
-  | `Events -> sweep_events t
-  | `Shards shards -> sweep_shards ~shards t
-
-(* Parallel sweep. Sessions are fully independent prover worlds (own
-   Simtime/Trace/Channel/Verifier, no shared mutable state anywhere in the
-   library), so independent members can be swept on separate domains.
-   Each worker runs the same [sweep_slot] as the sequential engine —
-   identical float operations in identical order per member, so verdicts,
-   ledgers and member clocks are bit-identical to [sweep]. [`Pool] (the
-   default) borrows helpers from the shared persistent pool; [`Fresh]
-   keeps the old spawn-per-sweep behaviour so the bench can measure what
-   the pool buys. *)
-let sweep_par ?(domains = 4) ?(spawn = `Pool) t =
+  let shards = shard_count ~who:"Fleet.sweep" engine in
   let members = Array.of_list t.members in
   let n = Array.length members in
-  let domains = max 1 (min domains n) in
-  if domains = 1 then sweep t
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (sweep_slot global_obs ~n i members.(i));
-          go ()
-        end
-      in
-      go ()
-    in
-    (match spawn with
-    | `Pool -> Pool.run (Pool.shared ()) ~helpers:(domains - 1) worker
-    | `Fresh ->
-      let spawned = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join spawned);
-    collect members results
-  end
+  let verdicts = Array.make n None in
+  fold ~shards ~members:n (fun _ obs i ->
+      verdicts.(i) <- sweep_slot obs ~n i members.(i));
+  List.mapi (fun i m -> (m.name, verdicts.(i))) t.members
 
 (* ---- chaos sweeps: convergence under an impaired wire ---- *)
 
@@ -365,9 +282,7 @@ let percentile_of_sorted sorted p =
     sorted.(max 0 (min (n - 1) rank))
   end
 
-(* Per-member accumulator for one (loss, policy) cell; both engines feed
-   it through [chaos_record], so the ledgers and metrics a cell produces
-   are independent of which engine ran it. *)
+(* Per-member accumulator for one (loss, policy) cell. *)
 type chaos_acc = {
   mutable ca_converged : int;
   mutable ca_attempts : int;
@@ -394,13 +309,10 @@ let workload_of_label s =
       | Some _ | None -> None)
     | Some _ | None -> None
 
-let workload_round_begin ~workload ~policy session =
-  match workload with
-  | `Attest -> Session.round_begin ~policy session
-  | `Session records -> Secure_session.round_begin ~policy ~records session
-
 let workload_round ~workload ~policy session =
-  Session.drive_round (workload_round_begin ~workload ~policy session)
+  match workload with
+  | `Attest -> Session.attest_round_r ~policy session
+  | `Session records -> Secure_session.run_r ~policy ~records session
 
 let chaos_install session ~imp_seed ~loss =
   let profile =
@@ -447,50 +359,6 @@ let chaos_member ?fcap ?(workload = `Attest) obs m ~imp_seed ~loss ~policy ~roun
   Session.set_impairment session None;
   (acc.ca_converged, acc.ca_attempts, acc.ca_durations)
 
-(* Event-engine chaos member: the same rounds, but every [Round_wait] of
-   the retry machine becomes a scheduled event instead of an inline
-   advance. Event keys are the member's own absolute clock (its next
-   round start or wait expiry); a member's keys are strictly increasing
-   and the heap pops the globally earliest, so the shared timeline is
-   monotone and round work from thousands of members interleaves in
-   deterministic (time, insertion) order. [Session.round_begin]'s resume
-   performs the identical [advance_time] the sequential driver performs,
-   so per-member results are bit-identical to [chaos_member]. *)
-let chaos_member_events ?fcap ?(workload = `Attest) obs sched m ~imp_seed ~loss
-    ~policy ~rounds ~finished =
-  let session = m.session in
-  chaos_install session ~imp_seed ~loss;
-  let acc = { ca_converged = 0; ca_attempts = 0; ca_durations = [] } in
-  let member_now () = Ra_net.Simtime.now (Session.time session) in
-  let rec schedule_round rounds_left =
-    Sched.at sched
-      ~at:(member_now () +. stagger_seconds)
-      (fun () ->
-        Session.advance_time session ~seconds:stagger_seconds;
-        let at = member_now () in
-        let tstart = Ra_net.Channel.transcript_length (Session.channel session) in
-        drive rounds_left ~at ~tstart (workload_round_begin ~workload ~policy session);
-        Sched.observe_lag sched ~member_now:(member_now ()))
-  and drive rounds_left ~at ~tstart = function
-    | Session.Round_done r ->
-      chaos_record obs m acc ~at r;
-      (match fcap with
-      | None -> ()
-      | Some f -> f ~round:(rounds - rounds_left + 1) ~at ~tstart r);
-      if rounds_left > 1 then schedule_round (rounds_left - 1)
-      else begin
-        Session.set_impairment session None;
-        finished (acc.ca_converged, acc.ca_attempts, acc.ca_durations)
-      end
-    | Session.Round_wait { wait_s; resume } ->
-      Sched.at sched
-        ~at:(member_now () +. wait_s)
-        (fun () ->
-          drive rounds_left ~at ~tstart (resume ());
-          Sched.observe_lag sched ~member_now:(member_now ()))
-  in
-  schedule_round rounds
-
 (* ---- forensic candidate retention (one cell, one member) ---- *)
 
 (* A candidate round retained during a cell: enough to build a capsule at
@@ -512,10 +380,10 @@ type fcand_cell = {
   mutable fc_slow : fcand option; (* slowest converged round so far *)
 }
 
-(* The per-round hook a capturing sweep threads into the chaos drivers.
+(* The per-round hook a capturing sweep threads into [chaos_member].
    Runs on the member's own domain and touches only member-local state
    (its slot of the candidate array and its own session/tracer), so
-   capture is safe under every engine and changes nothing on the wire. *)
+   capture is safe at every shard count and changes nothing on the wire. *)
 let fcap_hook fcands i m =
   match fcands with
   | None -> None
@@ -553,8 +421,8 @@ let fcap_hook fcands i m =
           | Some _ | None -> cell.fc_slow <- Some cand)
         | _ -> cell.fc_fails <- cand :: cell.fc_fails)
 
-let chaos_sweep ?(seed = 0xC4A05L) ?(domains = 4) ?(rounds_per_member = 10)
-    ?(engine = `Seq) ?(workload = `Attest) ~losses ~policies t =
+let chaos_sweep ?(seed = 0xC4A05L) ?(rounds_per_member = 10) ?(engine = `Seq)
+    ?(workload = `Attest) ~losses ~policies t =
   if losses = [] then invalid_arg "Fleet.chaos_sweep: no loss rates";
   if policies = [] then invalid_arg "Fleet.chaos_sweep: no policies";
   if rounds_per_member < 1 then invalid_arg "Fleet.chaos_sweep: rounds_per_member < 1";
@@ -562,9 +430,9 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(domains = 4) ?(rounds_per_member = 10)
   | `Session n when n < 0 -> invalid_arg "Fleet.chaos_sweep: negative session records"
   | `Session _ | `Attest -> ());
   List.iter (fun (_, p) -> Retry.validate p) policies;
+  let shards = shard_count ~who:"Fleet.chaos_sweep" engine in
   let members = Array.of_list t.members in
   let n = Array.length members in
-  let domains = max 1 (min domains n) in
   let seeder = Ra_crypto.Prng.create seed in
   let cells =
     List.concat_map
@@ -591,71 +459,21 @@ let chaos_sweep ?(seed = 0xC4A05L) ?(domains = 4) ?(rounds_per_member = 10)
     (* one root draw per cell; member i's impairment seed is the pure
        function [Impairment.derive_seed ~root ~index:i] of it, so the
        schedule member i experiences is identical however the cell is
-       partitioned — any [domains], any shard count, either engine *)
+       partitioned — any shard count *)
     let root = Ra_crypto.Prng.next_int64 seeder in
     let seed_of i = Ra_net.Impairment.derive_seed ~root ~index:i in
     let results = Array.make n (0, 0, []) in
     let fcands =
       match t.forensics with None -> None | Some _ -> Some (Array.make n None)
     in
-    (match engine with
-    | `Events ->
-      (* single-domain by design: determinism is the point; the heap
-         interleaves all members' rounds on one shared timeline *)
-      let sched = Sched.create () in
-      Array.iteri
-        (fun i m ->
-          chaos_member_events
-            ?fcap:(fcap_hook fcands i m)
-            ~workload global_obs sched m ~imp_seed:(seed_of i) ~loss ~policy
-            ~rounds:rounds_per_member
-            ~finished:(fun r -> results.(i) <- r))
-        members;
-      let (_ : int) = Sched.run sched in
-      ()
-    | `Shards shards ->
-      (* each shard drives its own timeline over its own member range
-         and buffers metrics in its own arena; the merge is [results]
-         by member index plus arena flushes in shard order *)
-      if shards < 1 then invalid_arg "Fleet.chaos_sweep: shards must be >= 1";
-      let parts = Shard.partition ~members:n ~shards in
-      let arenas = Array.init shards (fun _ -> Ra_obs.Arena.create ()) in
-      Shard.run ~shards (fun s ->
-          let arena = arenas.(s) in
-          let obs = arena_obs arena in
-          let sched = Sched.create ~metrics:(Sched.arena_metrics arena) () in
-          let { Shard.sh_lo; sh_hi } = parts.(s) in
-          for i = sh_lo to sh_hi - 1 do
-            chaos_member_events
-              ?fcap:(fcap_hook fcands i members.(i))
-              ~workload obs sched members.(i) ~imp_seed:(seed_of i) ~loss ~policy
-              ~rounds:rounds_per_member
-              ~finished:(fun r -> results.(i) <- r)
-          done;
-          let (_ : int) = Sched.run sched in
-          ());
-      Array.iter Ra_obs.Arena.flush arenas
-    | `Seq ->
-      let next = Atomic.make 0 in
-      let work () =
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            results.(i) <-
-              chaos_member
-                ?fcap:(fcap_hook fcands i members.(i))
-                ~workload global_obs members.(i) ~imp_seed:(seed_of i) ~loss ~policy
-                ~rounds:rounds_per_member;
-            go ()
-          end
-        in
-        go ()
-      in
-      if domains = 1 then work ()
-      else Pool.run (Pool.shared ()) ~helpers:(domains - 1) work);
+    fold ~shards ~members:n (fun _ obs i ->
+        let m = members.(i) in
+        results.(i) <-
+          chaos_member ?fcap:(fcap_hook fcands i m) ~workload obs m ~imp_seed:(seed_of i)
+            ~loss ~policy ~rounds:rounds_per_member);
     (* merge retained candidates into the capsule ring — coordinator
        only, member-index order, so the capsule stream is identical at
-       every domains/shards/engine setting *)
+       every shard count *)
     (match (t.forensics, fcands) with
     | Some f, Some arr ->
       let capsule kind i (c : fcand) =
@@ -900,13 +718,13 @@ let convergence_pct cell =
 (* A materialised session holds about 5.5 KB live at 1 KiB of attested
    RAM (its RAM copy and wiring; ROM and flash are shared copy-on-write
    with the domain's prototype), so a 1M-member [t] would need ~5.5 GB.
-   The streaming sweep holds ONE live session per shard at a time:
-   create member i's world,
-   run exactly the operation sequence [sweep_slot] runs, fold the
-   outcome into per-shard tallies and an order-independent fingerprint,
-   drop the world. The fingerprint XORs per-member SHA-1 digests, so it
-   is invariant under any partition of the member range — the checkable
-   analogue of the materialised engines' byte-identity. *)
+   The streaming sweep runs the same shard fold but holds ONE live
+   session per shard at a time: create member i's world, run exactly
+   the operation sequence [sweep_slot] runs, fold the outcome into
+   per-shard tallies and an order-independent fingerprint, drop the
+   world. The fingerprint XORs per-member SHA-1 digests, so it is
+   invariant under any partition of the member range — the checkable
+   analogue of the materialised sweep's byte-identity. *)
 
 (* byte-stable: Verdict.label yields exactly the historical tag set
    ("trusted", "untrusted_state", "invalid_response") for every verdict a
@@ -954,10 +772,9 @@ type stream_report = {
 let default_stream_name i = Printf.sprintf "dev-%07d" i
 
 let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1)
-    ?pool ?(name_of = default_stream_name) ~members () =
+    ?(name_of = default_stream_name) ~members () =
   if members < 1 then invalid_arg "Fleet.stream_sweep: members < 1";
   if shards < 1 then invalid_arg "Fleet.stream_sweep: shards must be >= 1";
-  let parts = Shard.partition ~members ~shards in
   (* per-shard tallies merged by sums and XOR — both order-independent,
      so the report is a pure function of (spec, members), not of the
      shard count or domain schedule *)
@@ -965,21 +782,18 @@ let stream_sweep ?(spec = Architecture.trustlite_base) ?ram_size ?(shards = 1)
   let compromised = Array.make shards 0 in
   let unresponsive = Array.make shards 0 in
   let fingers = Array.make shards zero_digest in
-  Shard.run ?pool ~shards (fun s ->
-      let { Shard.sh_lo; sh_hi } = parts.(s) in
-      for i = sh_lo to sh_hi - 1 do
-        let name = name_of i in
-        let session = Session.create ~spec ?ram_size () in
-        Session.advance_time session ~seconds:(pre_offset i);
-        let verdict = Session.attest_round session in
-        Session.advance_time session ~seconds:(post_offset ~n:members i);
-        (match classify verdict with
-        | Healthy -> healthy.(s) <- healthy.(s) + 1
-        | Compromised -> compromised.(s) <- compromised.(s) + 1
-        | Unresponsive | Unknown -> unresponsive.(s) <- unresponsive.(s) + 1);
-        fingers.(s) <-
-          Ra_crypto.Hexutil.xor fingers.(s) (session_digest ~name ~verdict session)
-      done);
+  fold ~shards ~members (fun s _ i ->
+      let name = name_of i in
+      let session = Session.create ~spec ?ram_size () in
+      Session.advance_time session ~seconds:(pre_offset i);
+      let verdict = Session.attest_round session in
+      Session.advance_time session ~seconds:(post_offset ~n:members i);
+      (match classify verdict with
+      | Healthy -> healthy.(s) <- healthy.(s) + 1
+      | Compromised -> compromised.(s) <- compromised.(s) + 1
+      | Unresponsive | Unknown -> unresponsive.(s) <- unresponsive.(s) + 1);
+      fingers.(s) <-
+        Ra_crypto.Hexutil.xor fingers.(s) (session_digest ~name ~verdict session));
   let sum a = Array.fold_left ( + ) 0 a in
   {
     st_members = members;

@@ -10,16 +10,15 @@
    lock/broadcast, no spawns.
 
    A batch runs the same thunk on the caller plus [helpers] pool
-   domains; work distribution happens inside the thunk (the callers all
-   pull indices from a shared [Atomic] counter, exactly as the old
-   spawn-per-sweep engines did). [run] returns only after every
-   participant finished; the first exception any participant raised is
-   re-raised on the caller.
+   domains; work distribution happens inside the thunk ([Shard.run]
+   hands out shard ids from a shared [Atomic] counter). [run] returns
+   only after every participant finished; the first exception any
+   participant raised is re-raised on the caller.
 
-   One batch at a time per pool: batches from the fleet engines are
-   strictly sequential (cells of a chaos grid, sweeps of a bench loop),
-   so the pool deliberately has no job queue — [run] from two domains at
-   once is a programming error and raises. *)
+   One batch at a time per pool: shard batches are strictly sequential
+   (cells of a chaos grid, sweeps of a bench loop), so the pool
+   deliberately has no job queue — [run] from two domains at once is a
+   programming error and raises. *)
 
 type t = {
   mutex : Mutex.t;
@@ -100,7 +99,7 @@ let shutdown t =
   Mutex.unlock t.mutex
 
 (* Helper domains beyond this point stop buying anything on any machine
-   this code meets; it also keeps a runaway [~domains] argument from
+   this code meets; it also keeps a runaway shard count from
    exhausting the runtime's 128-domain budget. *)
 let max_helpers = 63
 

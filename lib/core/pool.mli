@@ -8,9 +8,9 @@
     steady-state dispatch is one lock + broadcast.
 
     A batch runs one thunk on the caller {e and} [helpers] pool domains;
-    the thunk distributes work itself (typically by pulling indices from
-    a shared [Atomic] counter). One batch at a time per pool — the fleet
-    engines' batches are strictly sequential, so there is no job queue. *)
+    the thunk distributes work itself ({!Shard.run} pulls shard ids from
+    a shared [Atomic] counter). One batch at a time per pool — shard
+    batches are strictly sequential, so there is no job queue. *)
 
 type t
 
@@ -18,12 +18,12 @@ val create : unit -> t
 (** An empty pool; helper domains spawn lazily on first {!run}. *)
 
 val shared : unit -> t
-(** The process-wide pool the fleet engines share. Its helpers are
-    joined automatically at process exit. *)
+(** The process-wide pool behind {!Shard.run}, shared by {!Fleet} and
+    {!Server}. Its helpers are joined automatically at process exit. *)
 
 val max_helpers : int
-(** Upper bound on helpers per batch (63): keeps a runaway [~domains]
-    argument inside the runtime's 128-domain budget. *)
+(** Upper bound on helpers per batch (63): keeps a runaway shard count
+    inside the runtime's 128-domain budget. *)
 
 val run : t -> helpers:int -> (unit -> unit) -> unit
 (** [run t ~helpers job] executes [job ()] on the calling domain and on

@@ -1,19 +1,4 @@
-module Simtime = Ra_net.Simtime
-module Trace = Ra_net.Trace
-
 type event = { ev_at : float; ev_seq : int; ev_fn : unit -> unit }
-
-(* How a scheduler reports into the metrics layer. The default sink hits
-   the shared atomic registry handles directly; the sharded engines give
-   each shard an [Ra_obs.Arena]-backed sink instead, so the per-event hot
-   path touches only domain-local memory and the registry sees one bulk
-   merge per shard, in shard order. *)
-type metrics = {
-  mx_scheduled : unit -> unit;
-  mx_fired : unit -> unit;
-  mx_depth : int -> unit;
-  mx_lag : float -> unit;
-}
 
 type t = {
   mutable now : float;
@@ -21,9 +6,6 @@ type t = {
   mutable size : int;
   mutable seq : int; (* insertion order, the deterministic tie-break *)
   mutable fired : int;
-  trace : Trace.t option;
-  mx : metrics;
-  track : Ra_obs.Profiler.Track.t option; (* queue depth over sim time *)
 }
 
 (* Handles precreated at module init: per-event cost is atomic adds, never
@@ -34,38 +16,10 @@ module M = struct
   let scheduled = Counter.get ~labels:[ ("kind", "scheduled") ] "ra_sched_events_total"
   let fired = Counter.get ~labels:[ ("kind", "fired") ] "ra_sched_events_total"
   let depth = Gauge.get "ra_sched_queue_depth"
-
-  (* seconds of member-clock lead over the shared timeline; members run
-     ahead by exactly the anchor/pump work their events performed, so the
-     buckets span micro-work to whole reply windows *)
-  let lag_buckets = [| 0.001; 0.01; 0.1; 0.5; 1.0; 5.0; 30.0; 120.0; 600.0 |]
-  let lag = Histogram.get ~buckets:lag_buckets "ra_sched_lag_seconds"
+  let set_depth t = Gauge.set depth (float_of_int t.size)
 end
 
-let global_metrics =
-  {
-    mx_scheduled = (fun () -> Ra_obs.Registry.Counter.inc M.scheduled);
-    mx_fired = (fun () -> Ra_obs.Registry.Counter.inc M.fired);
-    mx_depth = (fun d -> Ra_obs.Registry.Gauge.set M.depth (float_of_int d));
-    mx_lag = (fun l -> Ra_obs.Registry.Histogram.observe M.lag l);
-  }
-
-let arena_metrics arena =
-  let open Ra_obs.Arena in
-  let scheduled = Counter.make arena M.scheduled in
-  let fired = Counter.make arena M.fired in
-  let depth = Gauge.make arena M.depth in
-  let lag = Histogram.make arena M.lag in
-  {
-    mx_scheduled = (fun () -> Counter.inc scheduled);
-    mx_fired = (fun () -> Counter.inc fired);
-    mx_depth = (fun d -> Gauge.set depth (float_of_int d));
-    mx_lag = (fun l -> Histogram.observe lag l);
-  }
-
-let create ?(start = 0.0) ?trace ?(metrics = global_metrics) ?track () =
-  { now = start; heap = [||]; size = 0; seq = 0; fired = 0; trace; mx = metrics;
-    track }
+let create () = { now = 0.0; heap = [||]; size = 0; seq = 0; fired = 0 }
 
 let now t = t.now
 let pending t = t.size
@@ -114,11 +68,8 @@ let at t ~at:when_ fn =
   t.heap.(t.size) <- ev;
   t.size <- t.size + 1;
   sift_up t (t.size - 1);
-  t.mx.mx_scheduled ();
-  t.mx.mx_depth t.size;
-  match t.track with
-  | None -> ()
-  | Some tr -> Ra_obs.Profiler.Track.push tr ~at:t.now (float_of_int t.size)
+  Ra_obs.Registry.Counter.inc M.scheduled;
+  M.set_depth t
 
 let after t ~delay fn =
   if not (delay >= 0.0) then invalid_arg "Sched.after: delay must be >= 0";
@@ -135,8 +86,6 @@ let pop t =
   end;
   ev
 
-let observe_lag t ~member_now = t.mx.mx_lag (Float.max 0.0 (member_now -. t.now))
-
 let step t =
   if t.size = 0 then false
   else begin
@@ -145,17 +94,8 @@ let step t =
        clamped to [now] *)
     t.now <- ev.ev_at;
     t.fired <- t.fired + 1;
-    t.mx.mx_fired ();
-    t.mx.mx_depth t.size;
-    (match t.track with
-    | None -> ()
-    | Some tr -> Ra_obs.Profiler.Track.push tr ~at:t.now (float_of_int t.size));
-    (match t.trace with
-    | None -> ()
-    | Some trace ->
-      Trace.causal_instant trace ~cat:"sched"
-        ~labels:[ ("at", Printf.sprintf "%.6f" ev.ev_at) ]
-        "sched.fire");
+    Ra_obs.Registry.Counter.inc M.fired;
+    M.set_depth t;
     ev.ev_fn ();
     true
   end

@@ -1,60 +1,28 @@
-(** Deterministic discrete-event scheduler: one shared virtual timeline
-    for an entire fleet.
+(** Deterministic discrete-event scheduler: one virtual timeline for an
+    open-loop simulation.
 
     Events live in a binary min-heap keyed on [(time, seq)] where [seq]
     is insertion order — ties fire in the order they were scheduled, so
     a run is a pure function of the schedule, never of hash order or
-    wall-clock. {!step} pops the earliest event, jumps the shared clock
-    to it and runs it; events scheduled into the past are clamped to
-    [now] (the timeline is monotone by construction).
+    wall-clock. {!step} pops the earliest event, jumps the clock to it
+    and runs it; events scheduled into the past are clamped to [now]
+    (the timeline is monotone by construction).
 
-    The intended shape (used by [Fleet ~engine:`Events]): each session
-    keeps its private {!Ra_net.Simtime.t} and runs its round machine
-    ({!Session.round_begin}) inside events; every [Round_wait] becomes a
-    new event at [member_now + wait_s]. Member clocks run {e ahead} of
-    the shared timeline by the un-scheduled work their events performed
-    (anchor cycles, pump deliveries); [ra_sched_lag_seconds] measures
-    that lead when {!observe_lag} is called at fire time.
+    {!Server} runs its arrivals, admission and batched verification on
+    one of these, because a verifier service is a real queue: the order
+    of events changes what happens. Fleet sweeps do not need one —
+    sessions share no state, so {!Fleet} runs each member inline.
 
-    Metrics: [ra_sched_events_total{kind=scheduled|fired}],
-    [ra_sched_queue_depth] (gauge, post-pop depth),
-    [ra_sched_lag_seconds] (histogram, seconds). With a trace attached,
-    every fire also emits a [sched.fire] causal instant (cat ["sched"])
-    — a no-op unless that trace has a tracer installed. *)
+    Metrics: [ra_sched_events_total{kind=scheduled|fired}] and
+    [ra_sched_queue_depth] (gauge, depth after each schedule/pop). *)
 
 type t
 
-type metrics
-(** A metrics sink: where the scheduler reports scheduled/fired counts,
-    queue depth and member lag. *)
-
-val global_metrics : metrics
-(** The default sink — the precreated atomic handles on the shared
-    registry ([ra_sched_events_total], [ra_sched_queue_depth],
-    [ra_sched_lag_seconds]). *)
-
-val arena_metrics : Ra_obs.Arena.t -> metrics
-(** A sink buffering into [arena] with no atomics: the per-event hot
-    path touches only domain-local memory, and the same metric families
-    receive one bulk merge when the arena is flushed. One scheduler per
-    arena sink; flush after the owning domain quiesces. *)
-
-val create :
-  ?start:float ->
-  ?trace:Ra_net.Trace.t ->
-  ?metrics:metrics ->
-  ?track:Ra_obs.Profiler.Track.t ->
-  unit ->
-  t
-(** Empty queue with the shared clock at [start] (default 0), reporting
-    into [metrics] (default {!global_metrics}). With [track], every
-    schedule/fire also appends a [(sim_time, depth)] point to it —
-    the raw series behind a Perfetto [ra_sched_queue_depth] counter
-    track; per-shard tracks merge deterministically via
-    {!Ra_obs.Profiler.Track.merge}. *)
+val create : unit -> t
+(** Empty queue with the clock at 0. *)
 
 val now : t -> float
-(** The shared virtual clock: the time of the most recently fired event. *)
+(** The virtual clock: the time of the most recently fired event. *)
 
 val at : t -> at:float -> (unit -> unit) -> unit
 (** Schedule a thunk at an absolute time, clamped to [now] if in the
@@ -81,11 +49,4 @@ val step : t -> bool
 val run : ?until:float -> t -> int
 (** Fire events in order until the queue is empty, or — with [until] —
     until the earliest pending event lies strictly beyond the horizon.
-    Returns the number of events fired. [Retry.max_total_s] bounds how
-    far past its scheduling time a round can still have events, giving a
-    natural horizon for partial runs. *)
-
-val observe_lag : t -> member_now:float -> unit
-(** Record [member_now - now t] (clamped at 0) into
-    [ra_sched_lag_seconds] — how far a member's private clock leads the
-    shared timeline. *)
+    Returns the number of events fired. *)

@@ -590,15 +590,15 @@ let close_begin i =
     true
   | Connecting _ | Refused _ | Closed -> false
 
-(* ---- the session round machine ---------------------------------------- *)
+(* ---- the session round ------------------------------------------------- *)
 
 (* Fixed jitter seed, one stream per machine — like [Session]'s retry
    PRNG, per-member divergence comes from impairment seeds. *)
 let jitter_seed = 0x5EC5E551L
 
-let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t =
+let run_r ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t =
   Retry.validate policy;
-  if records < 0 then invalid_arg "Secure_session.round_begin: records < 0";
+  if records < 0 then invalid_arg "Secure_session.run_r: records < 0";
   Session.set_in_flight t true;
   let time = Session.time t in
   let trace = Session.trace t in
@@ -617,149 +617,132 @@ let round_begin ?(policy = Retry.default) ?(records = 4) ?(window_bits = 128) t 
     | _ -> ()
   in
   Option.iter (fun tr -> ignore (Ra_obs.Trace.begin_round tr)) tracer;
-  let root_sp = Ra_obs.Span.enter (Trace.spans trace) "secure.session" in
-  let round_done verdict =
-    teardown_initiator initiator;
-    teardown_responder responder;
-    Session.set_in_flight t false;
-    M.count_round verdict;
-    (match tracer with
-    | Some tr ->
-      Trace.causal_instant trace ~cat:"verdict"
-        ~labels:[ ("verdict", Verdict.label verdict) ]
-        "verdict";
-      Ra_obs.Trace.end_round tr ~verdict:(Verdict.label verdict)
-        ~attempts:!total_sends
-    | None -> ());
-    let r =
+  Trace.with_span trace "secure.session" (fun () ->
+      (* Pump both directions until the phase condition holds or the wire
+         goes quiet — same loop (and the same pathological-impairment step
+         cap) as the plain retry engine. *)
+      let pump done_ =
+        let channel = Session.channel t in
+        let rec go steps =
+          if not (done_ ()) then begin
+            let fwd = Channel.forward_next channel ~dst:Channel.Prover_side in
+            let back = Channel.forward_next channel ~dst:Channel.Verifier_side in
+            if (not (done_ ())) && (fwd || back) then
+              if steps < 100_000 then go (steps + 1)
+              else Trace.record trace "secure: pump step cap hit, backing off"
+          end
+        in
+        go 0
+      in
+      (* One retried phase; [true] once [done_] holds, [false] when the
+         policy's attempts run out. [send] must put a {e fresh} flight on the
+         wire (new challenge / new record sequence — never a byte-identical
+         retransmission); attempt [n]'s window opens right after
+         transmission [n], and an idle window is waited out inline. *)
+      let phase ~name ~send ~done_ =
+        let rec attempt n =
+          let attempt_sp =
+            cspan
+              ~labels:[ ("attempt", string_of_int n); ("phase", name) ]
+              "secure.attempt"
+          in
+          let window = Retry.timeout_s policy ~attempt:n ~u:(C.Prng.float prng 1.0) in
+          let deadline = Simtime.deadline time ~after:window in
+          pump done_;
+          let ok =
+            done_ ()
+            ||
+            let rest = Simtime.remaining time deadline in
+            rest > 0.0
+            && begin
+                 Session.advance_time t ~seconds:rest;
+                 done_ ()
+               end
+          in
+          if ok then begin
+            cfinish ~labels:[ ("outcome", "done") ] attempt_sp;
+            true
+          end
+          else begin
+            cfinish ~labels:[ ("outcome", "timeout") ] attempt_sp;
+            if n < policy.Retry.max_attempts then begin
+              Trace.recordf trace "secure: %s attempt %d timed out, retransmitting" name n;
+              incr total_sends;
+              send ();
+              attempt (n + 1)
+            end
+            else begin
+              Trace.recordf trace "secure: %s gave up after %d attempts" name n;
+              false
+            end
+          end
+        in
+        incr total_sends;
+        send ();
+        attempt 1
+      in
+      let timed_out () =
+        let waited_s = Simtime.now time -. started in
+        Verdict.Timed_out { attempts = !total_sends; waited_s }
+      in
+      (* close is best-effort: one flight, pump, done — a lost close frame
+         must not wedge a session whose verdict is already decided, and the
+         teardown below force-detaches both endpoints regardless *)
+      let close_phase verdict =
+        if close_begin initiator then begin
+          incr total_sends;
+          pump (fun () -> initiator.i_close_acked)
+        end;
+        verdict
+      in
+      let rec stream r =
+        if r > records then close_phase Verdict.Trusted
+        else begin
+          let before = initiator.i_verdict_count in
+          if
+            not
+              (phase
+                 ~name:(Printf.sprintf "record %d/%d" r records)
+                 ~send:(fun () -> ignore (request_round initiator))
+                 ~done_:(fun () -> initiator.i_verdict_count > before))
+          then timed_out ()
+          else
+            match initiator.i_verdicts with
+            | (_, Verdict.Trusted) :: _ -> stream (r + 1)
+            | (_, v) :: _ ->
+              (* a non-trusted in-session verdict decides the whole round:
+                 the session's device state is what it is *)
+              close_phase v
+            | [] -> stream (r + 1)
+        end
+      in
+      let verdict =
+        if
+          not
+            (phase ~name:"handshake"
+               ~send:(fun () -> handshake_send initiator)
+               ~done_:(fun () ->
+                 match initiator.i_state with Connecting _ -> false | _ -> true))
+        then timed_out ()
+        else
+          match initiator.i_state with
+          | Refused v -> v
+          | Established _ -> stream 1
+          | Connecting _ | Closed -> timed_out ()
+      in
+      teardown_initiator initiator;
+      teardown_responder responder;
+      Session.set_in_flight t false;
+      M.count_round verdict;
+      (match tracer with
+      | Some tr ->
+        Trace.causal_instant trace ~cat:"verdict"
+          ~labels:[ ("verdict", Verdict.label verdict) ]
+          "verdict";
+        Ra_obs.Trace.end_round tr ~verdict:(Verdict.label verdict) ~attempts:!total_sends
+      | None -> ());
       {
         Session.r_verdict = verdict;
         r_attempts = !total_sends;
         r_elapsed_s = Simtime.now time -. started;
-      }
-    in
-    Ra_obs.Span.exit (Trace.spans trace) root_sp;
-    Session.Round_done r
-  in
-  (* Pump both directions until the phase condition holds or the wire
-     goes quiet — same loop (and the same pathological-impairment step
-     cap) as the plain retry engine. *)
-  let pump done_ =
-    let channel = Session.channel t in
-    let rec go steps =
-      if not (done_ ()) then begin
-        let fwd = Channel.forward_next channel ~dst:Channel.Prover_side in
-        let back = Channel.forward_next channel ~dst:Channel.Verifier_side in
-        if (not (done_ ())) && (fwd || back) then
-          if steps < 100_000 then go (steps + 1)
-          else Trace.record trace "secure: pump step cap hit, backing off"
-      end
-    in
-    go 0
-  in
-  (* One retried phase of the machine. [send] must put a {e fresh} flight
-     on the wire (new challenge / new record sequence — never a
-     byte-identical retransmission); the caller performs the first send
-     itself before calling, so attempt [n]'s window opens right after
-     transmission [n]. *)
-  let phase ~name ~send ~done_ ~fail ~next =
-    let rec attempt n =
-      let attempt_sp =
-        cspan
-          ~labels:[ ("attempt", string_of_int n); ("phase", name) ]
-          "secure.attempt"
-      in
-      let window = Retry.timeout_s policy ~attempt:n ~u:(C.Prng.float prng 1.0) in
-      let deadline = Simtime.deadline time ~after:window in
-      pump done_;
-      if done_ () then begin
-        cfinish ~labels:[ ("outcome", "done") ] attempt_sp;
-        next ()
-      end
-      else begin
-        let rest = Simtime.remaining time deadline in
-        if rest > 0.0 then
-          Session.Round_wait
-            {
-              wait_s = rest;
-              resume =
-                (fun () ->
-                  Session.advance_time t ~seconds:rest;
-                  if done_ () then begin
-                    cfinish ~labels:[ ("outcome", "done") ] attempt_sp;
-                    next ()
-                  end
-                  else attempt_over n attempt_sp);
-            }
-        else attempt_over n attempt_sp
-      end
-    and attempt_over n attempt_sp =
-      cfinish ~labels:[ ("outcome", "timeout") ] attempt_sp;
-      if n < policy.Retry.max_attempts then begin
-        Trace.recordf trace "secure: %s attempt %d timed out, retransmitting" name n;
-        incr total_sends;
-        send ();
-        attempt (n + 1)
-      end
-      else begin
-        Trace.recordf trace "secure: %s gave up after %d attempts" name n;
-        fail n
-      end
-    in
-    attempt 1
-  in
-  let start_phase ~name ~send ~done_ ~fail ~next =
-    incr total_sends;
-    send ();
-    phase ~name ~send ~done_ ~fail ~next
-  in
-  let timed_out _n =
-    round_done
-      (Verdict.Timed_out
-         { attempts = !total_sends; waited_s = Simtime.now time -. started })
-  in
-  (* close is best-effort: one flight, pump, done — a lost close frame
-     must not wedge a session whose verdict is already decided, and
-     [round_done] force-detaches both endpoints regardless *)
-  let close_phase verdict =
-    if close_begin initiator then begin
-      incr total_sends;
-      pump (fun () -> initiator.i_close_acked)
-    end;
-    round_done verdict
-  in
-  let rec stream r =
-    if r > records then close_phase Verdict.Trusted
-    else begin
-      let before = initiator.i_verdict_count in
-      start_phase
-        ~name:(Printf.sprintf "record %d/%d" r records)
-        ~send:(fun () -> ignore (request_round initiator))
-        ~done_:(fun () -> initiator.i_verdict_count > before)
-        ~fail:timed_out
-        ~next:(fun () ->
-          match initiator.i_verdicts with
-          | (_, Verdict.Trusted) :: _ -> stream (r + 1)
-          | (_, v) :: _ ->
-            (* a non-trusted in-session verdict decides the whole round:
-               the session's device state is what it is *)
-            close_phase v
-          | [] -> stream (r + 1))
-    end
-  in
-  start_phase ~name:"handshake"
-    ~send:(fun () -> handshake_send initiator)
-    ~done_:(fun () ->
-      match initiator.i_state with Connecting _ -> false | _ -> true)
-    ~fail:timed_out
-    ~next:(fun () ->
-      match initiator.i_state with
-      | Refused v -> round_done v
-      | Established _ -> stream 1
-      | Connecting _ | Closed ->
-        round_done
-          (Verdict.Timed_out
-             { attempts = !total_sends; waited_s = Simtime.now time -. started }))
-
-let run_r ?policy ?records ?window_bits t =
-  Session.drive_round (round_begin ?policy ?records ?window_bits t)
+      })

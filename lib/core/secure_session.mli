@@ -20,8 +20,9 @@
     Neither mechanism ever consults the other's clock.
 
     Everything here runs over the session's existing Dolev-Yao channel
-    and retry engine; the machine shape mirrors {!Session.round_begin},
-    so all three fleet engines drive it to byte-identical transcripts. *)
+    and retry engine; {!run_r} has the shape of {!Session.attest_round_r},
+    so a fleet runs it at every shard count to byte-identical
+    transcripts. *)
 
 (** RFC 6479-style sliding anti-replay window: a block-based bitmap over
     the last [bits] sequence numbers below the highest accepted one.
@@ -129,28 +130,14 @@ val teardown_responder : responder -> unit
 (** Detach the endpoint's channel handle (idempotent) and drop session
     state. *)
 
-(** {2 The session round machine}
+(** {2 The session round}
 
     One "round" = one full session lifecycle: handshake (with per-phase
     retry under the session's {!Retry} policy), [records] streaming
     attestation rounds (each a fresh sealed request, retransmitted on
-    its own reply windows), then a best-effort close. Yields
-    {!Session.Round_wait} whenever simulated time must pass, exactly
-    like {!Session.round_begin}, so the sequential and event-scheduled
-    fleet engines execute the identical operation sequence. *)
-
-val round_begin :
-  ?policy:Retry.policy ->
-  ?records:int ->
-  ?window_bits:int ->
-  Session.t ->
-  Session.step
-(** Start the machine ([records] defaults to 4). The verdict is
-    [Trusted] when the handshake established and every streamed round
-    verified; a refused handshake or a non-trusted in-session verdict
-    decides the round immediately; exhausted reply windows yield
-    [Timed_out]. [r_attempts] counts {e transmissions} across all
-    phases. *)
+    its own reply windows), then a best-effort close. Idle reply windows
+    pass inline through {!Session.advance_time}, exactly as in
+    {!Session.attest_round_r}. *)
 
 val run_r :
   ?policy:Retry.policy ->
@@ -158,4 +145,10 @@ val run_r :
   ?window_bits:int ->
   Session.t ->
   Session.round
-(** {!round_begin} driven synchronously ({!Session.drive_round}). *)
+(** Run one session round ([records] defaults to 4). The verdict is
+    [Trusted] when the handshake established and every streamed round
+    verified; a refused handshake or a non-trusted in-session verdict
+    decides the round immediately; exhausted reply windows yield
+    [Timed_out]. [r_attempts] counts {e transmissions} across all
+    phases.
+    @raise Invalid_argument on [records < 0] or an invalid policy. *)

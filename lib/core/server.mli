@@ -184,7 +184,6 @@ module Load : sig
 
   val run :
     ?engine:[ `Seq | `Shards of int ] ->
-    ?pool:Pool.t ->
     ?record_outcomes:bool ->
     ?forensics:Ra_obs.Forensics.t ->
     config ->
@@ -192,7 +191,7 @@ module Load : sig
     report * outcome list
   (** Drive the traffic through server instance(s) on a discrete-event
       timeline. [`Shards k] partitions the sources over [k] independent
-      server instances run on the {!Pool} (default {!Pool.shared}):
+      server instances run on {!Pool.shared}:
       positional seeds make each source's arrival stream identical under
       any shard count (and, as long as triage never saturates, each
       device's admission/verdict sequence too); the merged report sums

@@ -462,20 +462,11 @@ let enable_profiling ?capacity ?(device = "prover") t =
 
 let disable_profiling t = t.profiler <- None
 
-(* The round is a resumable machine: it runs until it either has a
-   verdict or needs simulated time to pass, and in the latter case it
-   yields a [Round_wait] instead of advancing the clock itself. The
-   sequential driver ([attest_round_r]) resumes immediately; the event
-   engine ([Sched] via [Fleet ~engine:`Events]) enqueues the resume at
-   [now + wait_s]. [resume] performs the [advance_time] itself, so both
-   drivers execute literally the same sequence of operations on the
-   session — byte-identity between engines is by construction, not by
-   careful duplication. *)
-type step =
-  | Round_done of round
-  | Round_wait of { wait_s : float; resume : unit -> step }
-
-let round_begin ?(policy = Retry.default) t =
+(* One round under the retry engine, in direct style: every reply window
+   that idles out calls [advance_time] inline, so the device sleeps and
+   drains battery for exactly the remaining window before the next
+   attempt. *)
+let attest_round_r ?(policy = Retry.default) t =
   Retry.validate policy;
   t.in_flight <- true;
   let started = Simtime.now t.time in
@@ -488,110 +479,89 @@ let round_begin ?(policy = Retry.default) t =
     | Some tr, Some sp -> Ra_obs.Trace.finish_span tr ?labels sp
     | _ -> ()
   in
-  let finish ~attempts verdict =
-    Mr.count verdict;
-    (match tracer with
-    | Some tr ->
-      (* the final verdict instant hangs off the round root, after the
-         last attempt span has closed *)
-      Trace.causal_instant t.trace ~cat:"verdict"
-        ~labels:[ ("verdict", Verdict.label verdict) ]
-        "verdict";
-      Ra_obs.Trace.end_round tr ~verdict:(Verdict.label verdict) ~attempts
-    | None -> ());
-    { r_verdict = verdict; r_attempts = attempts; r_elapsed_s = Simtime.now t.time -. started }
-  in
   Option.iter (fun tr -> ignore (Ra_obs.Trace.begin_round tr)) tracer;
-  (* the machine spans suspensions, so the root span is opened and closed
-     by hand; [finish] runs before the exit, exactly as it nested inside
-     [with_span] before *)
-  let root_sp = Ra_obs.Span.enter (Trace.spans t.trace) "attest.round" in
-  let round_done ~attempts verdict =
-    t.in_flight <- false;
-    let r = finish ~attempts verdict in
-    Ra_obs.Span.exit (Trace.spans t.trace) root_sp;
-    Round_done r
-  in
-  let rec attempt n =
-    (* A fresh request per attempt — never a byte-identical
-       retransmission. The freshness counter/timestamp advances with
-       every attempt, so a replay of any earlier transmission stays
-       rejectable and the prover's cell is monotone across the whole
-       retry schedule. *)
-    let before = t.verdict_count in
-    let attempt_sp =
-      cspan ~labels:[ ("attempt", string_of_int n) ] "retry.attempt"
-    in
-    let _req = send_request t in
-    let window =
-      Retry.timeout_s policy ~attempt:n ~u:(Ra_crypto.Prng.float t.retry_prng 1.0)
-    in
-    let deadline = Simtime.deadline t.time ~after:window in
-    (* Pump both directions until a verdict lands or the wire goes
-       quiet. In-flight traffic is always processed — the reply
-       window only governs how long the device idles once nothing is
-       moving. A step cap keeps this total under pathological
-       impairments (reorder probability 1 ping-pongs two messages
-       forever). *)
-    let rec pump steps =
-      if t.verdict_count > before then ()
-      else begin
-        let moved_fwd = deliver_next_to_prover t in
-        let moved_back = deliver_next_to_verifier t in
-        if t.verdict_count = before && (moved_fwd || moved_back) then
-          if steps < 100_000 then pump (steps + 1)
-          else Trace.record t.trace "retry: pump step cap hit, backing off"
-      end
-    in
-    pump 0;
-    if t.verdict_count > before then begin
-      let verdict = snd (List.nth t.verdicts 0) in
-      Trace.recordf t.trace "retry: verdict on attempt %d" n;
-      cfinish ~labels:[ ("outcome", "verdict") ] attempt_sp;
-      round_done ~attempts:n verdict
-    end
-    else begin
-      (* wire is quiet: the device idles away the rest of the reply
-         window (battery drains while it waits) *)
-      let rest = Simtime.remaining t.time deadline in
-      if rest > 0.0 then begin
-        let backoff_sp =
-          cspan
-            ~labels:
-              [
-                ("attempt", string_of_int n);
-                ("wait_s", Printf.sprintf "%.6f" rest);
-              ]
-            "retry.backoff"
+  Trace.with_span t.trace "attest.round" (fun () ->
+      let rec attempt n =
+        (* A fresh request per attempt — never a byte-identical
+           retransmission. The freshness counter/timestamp advances with
+           every attempt, so a replay of any earlier transmission stays
+           rejectable and the prover's cell is monotone across the whole
+           retry schedule. *)
+        let before = t.verdict_count in
+        let attempt_sp =
+          cspan ~labels:[ ("attempt", string_of_int n) ] "retry.attempt"
         in
-        Round_wait
-          {
-            wait_s = rest;
-            resume =
-              (fun () ->
-                advance_time t ~seconds:rest;
-                cfinish backoff_sp;
-                attempt_over n attempt_sp);
-          }
-      end
-      else attempt_over n attempt_sp
-    end
-  and attempt_over n attempt_sp =
-    cfinish ~labels:[ ("outcome", "timeout") ] attempt_sp;
-    if n < policy.Retry.max_attempts then begin
-      Trace.recordf t.trace "retry: attempt %d timed out, retransmitting" n;
-      attempt (n + 1)
-    end
-    else begin
-      Trace.recordf t.trace "retry: giving up after %d attempts" n;
-      round_done ~attempts:n
-        (Verdict.Timed_out { attempts = n; waited_s = Simtime.now t.time -. started })
-    end
-  in
-  attempt 1
-
-let rec drive_round = function
-  | Round_done r -> r
-  | Round_wait { wait_s = _; resume } -> drive_round (resume ())
-
-let attest_round_r ?policy t = drive_round (round_begin ?policy t)
+        let _req = send_request t in
+        let window =
+          Retry.timeout_s policy ~attempt:n ~u:(Ra_crypto.Prng.float t.retry_prng 1.0)
+        in
+        let deadline = Simtime.deadline t.time ~after:window in
+        (* Pump both directions until a verdict lands or the wire goes
+           quiet. In-flight traffic is always processed — the reply
+           window only governs how long the device idles once nothing is
+           moving. A step cap keeps this total under pathological
+           impairments (reorder probability 1 ping-pongs two messages
+           forever). *)
+        let rec pump steps =
+          if t.verdict_count > before then ()
+          else begin
+            let moved_fwd = deliver_next_to_prover t in
+            let moved_back = deliver_next_to_verifier t in
+            if t.verdict_count = before && (moved_fwd || moved_back) then
+              if steps < 100_000 then pump (steps + 1)
+              else Trace.record t.trace "retry: pump step cap hit, backing off"
+          end
+        in
+        pump 0;
+        if t.verdict_count > before then begin
+          let verdict = snd (List.nth t.verdicts 0) in
+          Trace.recordf t.trace "retry: verdict on attempt %d" n;
+          cfinish ~labels:[ ("outcome", "verdict") ] attempt_sp;
+          (verdict, n)
+        end
+        else begin
+          (* wire is quiet: the device idles away the rest of the reply
+             window (battery drains while it waits) *)
+          let rest = Simtime.remaining t.time deadline in
+          if rest > 0.0 then begin
+            let backoff_sp =
+              cspan
+                ~labels:
+                  [
+                    ("attempt", string_of_int n);
+                    ("wait_s", Printf.sprintf "%.6f" rest);
+                  ]
+                "retry.backoff"
+            in
+            advance_time t ~seconds:rest;
+            cfinish backoff_sp
+          end;
+          cfinish ~labels:[ ("outcome", "timeout") ] attempt_sp;
+          if n < policy.Retry.max_attempts then begin
+            Trace.recordf t.trace "retry: attempt %d timed out, retransmitting" n;
+            attempt (n + 1)
+          end
+          else begin
+            Trace.recordf t.trace "retry: giving up after %d attempts" n;
+            let waited_s = Simtime.now t.time -. started in
+            (Verdict.Timed_out { attempts = n; waited_s }, n)
+          end
+        end
+      in
+      let verdict, attempts = attempt 1 in
+      t.in_flight <- false;
+      Mr.count verdict;
+      (match tracer with
+      | Some tr ->
+        (* the final verdict instant hangs off the round root, after the
+           last attempt span has closed *)
+        Trace.causal_instant t.trace ~cat:"verdict"
+          ~labels:[ ("verdict", Verdict.label verdict) ]
+          "verdict";
+        Ra_obs.Trace.end_round tr ~verdict:(Verdict.label verdict) ~attempts
+      | None -> ());
+      {
+        r_verdict = verdict;
+        r_attempts = attempts;
+        r_elapsed_s = Simtime.now t.time -. started;
+      })

@@ -80,29 +80,6 @@ type round = {
   r_elapsed_s : float;  (** simulated seconds from first send to verdict *)
 }
 
-type step =
-  | Round_done of round
-  | Round_wait of { wait_s : float; resume : unit -> step }
-      (** The round needs [wait_s] simulated seconds to pass (a reply
-          window idling out). [resume] advances the session's time by
-          exactly [wait_s] itself — via {!advance_time}, so the device
-          idles and drains battery — and continues the machine; the
-          caller only decides {e when} to call it. *)
-
-val round_begin : ?policy:Retry.policy -> t -> step
-(** Start one attestation round under the retry engine as a resumable
-    machine. Runs synchronously until the round either completes
-    ([Round_done]) or needs simulated time to pass ([Round_wait]).
-    Driving every wait immediately is exactly {!attest_round_r}; an
-    event scheduler instead enqueues each [resume] at [now + wait_s],
-    interleaving thousands of sessions on one timeline. Both drivers
-    execute the identical operation sequence per session, so verdicts,
-    transcripts and metrics are bit-identical between them. *)
-
-val drive_round : step -> round
-(** Resume every wait immediately until the round completes — the
-    sequential reference driver. *)
-
 val attest_round_r : ?policy:Retry.policy -> t -> round
 (** One attestation round under the retry engine: send, pump the
     (possibly impaired) wire until it goes quiet, idle out whatever
@@ -183,6 +160,6 @@ val advance_time : t -> seconds:float -> unit
 val set_in_flight : t -> bool -> unit
 (** Mark a retry round as in flight for the profiler's wait-phase
     attribution (idle cycles inside a round count as [wait]; idle outside
-    does not). {!round_begin} manages this itself; external round
-    machines over the same session — {!Secure_session.round_begin} —
-    bracket their work with it. *)
+    does not). {!attest_round_r} manages this itself; other round loops
+    over the same session — {!Secure_session.run_r} — bracket their work
+    with it. *)

@@ -2,9 +2,9 @@
 
    The registry's instruments are safe to hit from any domain, but every
    observation is an atomic RMW on shared cache lines — on a hot loop
-   running on several domains at once (one event per member per round,
-   thousands of members per shard) that contention is the cost that made
-   `sweep_par` slower than sequential. An arena buffers a domain's
+   running on several domains at once (one observation per member per round,
+   thousands of members per shard) that contention made the early
+   parallel fleet sweeps slower than sequential. An arena buffers a domain's
    observations in plain mutable fields with no synchronization at all;
    [flush] folds the accumulated values into the shared registry in one
    bulk operation per instrument.
@@ -22,9 +22,8 @@ let create () = { flushers = [] }
 
 let on_flush t f = t.flushers <- f :: t.flushers
 
-(* Flush in registration order: the merged totals are sums so the order
-   is invisible for counters/histograms, but gauges keep last-write-wins
-   semantics aligned with registration order. *)
+(* Flush in registration order, so extra [on_flush] actions run in a
+   fixed order too. *)
 let flush t = List.iter (fun f -> f ()) (List.rev t.flushers)
 
 module Counter = struct
@@ -41,27 +40,6 @@ module Counter = struct
 
   let inc ?(by = 1) c = c.n <- c.n + by
   let value c = c.n
-end
-
-module Gauge = struct
-  type nonrec t = {
-    mutable v : float;
-    mutable dirty : bool;
-    target : Registry.Gauge.t;
-  }
-
-  let make arena target =
-    let g = { v = 0.0; dirty = false; target } in
-    on_flush arena (fun () ->
-        if g.dirty then begin
-          Registry.Gauge.set g.target g.v;
-          g.dirty <- false
-        end);
-    g
-
-  let set g v =
-    g.v <- v;
-    g.dirty <- true
 end
 
 module Histogram = struct

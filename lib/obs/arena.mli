@@ -1,12 +1,12 @@
-(** Single-domain metrics arena: buffered counters/gauges/histograms
+(** Single-domain metrics arena: buffered counters and histograms
     with no synchronization, bulk-merged into a {!Registry} on demand.
 
     Registry handles are already safe across domains, but every
     observation is an atomic RMW on a shared cache line. On a sharded
-    hot loop (one event per member per round, thousands of members per
-    shard on several domains) that cross-domain traffic is measurable —
-    it is one of the two costs that made the pre-pool [sweep_par] slower
-    than sequential. An arena gives each shard plain mutable
+    hot loop (one observation per member per round, thousands of members
+    per shard on several domains) that cross-domain traffic is
+    measurable — it is one of the two costs that made the early parallel
+    fleet sweeps slower than sequential. An arena gives each shard plain mutable
     accumulators; after the shards quiesce, the coordinator calls
     {!flush} on each arena {e in shard order}, so the merged registry
     state is deterministic and independent of which domain ran which
@@ -23,11 +23,10 @@ val create : unit -> t
 
 val flush : t -> unit
 (** Fold every instrument's buffered values into its registry target and
-    reset the local accumulators (registration order; gauges keep
-    last-write-wins in that order). *)
+    reset the local accumulators, in registration order. *)
 
 val on_flush : t -> (unit -> unit) -> unit
-(** Register an extra flush action (for merges that do not fit the three
+(** Register an extra flush action (for merges that do not fit the two
     instrument shapes). Actions run in registration order. *)
 
 type arena := t
@@ -41,15 +40,6 @@ module Counter : sig
   val inc : ?by:int -> t -> unit
   val value : t -> int
   (** Buffered (unflushed) value. *)
-end
-
-module Gauge : sig
-  type t
-
-  val make : arena -> Registry.Gauge.t -> t
-  val set : t -> float -> unit
-  (** Last value wins; {!flush} writes it through only if [set] ran
-      since the previous flush. *)
 end
 
 module Histogram : sig

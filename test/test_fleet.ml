@@ -83,62 +83,63 @@ let clocks fleet =
     (fun m -> Ra_net.Simtime.now (Session.time (Fleet.member_session m)))
     (Fleet.members fleet)
 
-let test_sweep_par_matches_sweep () =
-  (* identical fleets, one swept sequentially and one on domains, must end in
-     bit-identical states: verdicts, health summary, and simulated clocks *)
+(* every interesting shard count for 3 members, empty shards included *)
+let shard_counts = [ 1; 2; 3; 4; 7 ]
+
+let test_shards_match_reference () =
+  (* the shard engine must end in the reference fold's state at every
+     shard count: verdicts, health summary, ledgers and clocks *)
+  let reference = Fleet_ref.create ~ram_size:2048 [ "a"; "b"; "c" ] in
+  Fleet_ref.advance reference ~seconds:1.0;
+  let verdicts = Fleet_ref.sweep reference in
   List.iter
-    (fun domains ->
-      let seq_fleet = make () and par_fleet = make () in
-      Fleet.advance seq_fleet ~seconds:1.0;
-      Fleet.advance par_fleet ~seconds:1.0;
-      let seq_r = Fleet.sweep seq_fleet in
-      let par_r = Fleet.sweep_par ~domains par_fleet in
+    (fun shards ->
+      let fleet = make () in
+      Fleet.advance fleet ~seconds:1.0;
       Alcotest.(check bool)
-        (Printf.sprintf "%d domains: same verdicts in same order" domains)
-        true (seq_r = par_r);
-      Alcotest.(check bool)
-        (Printf.sprintf "%d domains: same summary" domains)
+        (Printf.sprintf "%d shards: same verdicts in same order" shards)
         true
-        (Fleet.summary seq_fleet = Fleet.summary par_fleet);
-      Alcotest.(check (list (float 0.0)))
-        (Printf.sprintf "%d domains: same member clocks" domains)
-        (clocks seq_fleet) (clocks par_fleet))
-    [ 1; 2; 3; 8 (* more domains than members *) ]
+        (Fleet.sweep ~engine:(`Shards shards) fleet = verdicts);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shards: same ledgers, clocks and transcripts" shards)
+        true
+        (Fleet_ref.fleet_state fleet = Fleet_ref.state reference))
+    shard_counts
 
-let test_sweep_par_flags_infection () =
+let test_shards_flag_infection () =
+  List.iter
+    (fun shards ->
+      let fleet = make () in
+      Fleet.advance fleet ~seconds:1.0;
+      let victim = Fleet.find fleet "b" in
+      let device = Session.device (Fleet.member_session victim) in
+      Cpu.store_bytes (Device.cpu device) (Device.attested_base device) "IMPLANT";
+      let results = Fleet.sweep ~engine:(`Shards shards) fleet in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d shards: victim flagged" shards)
+        [ "b" ] (Fleet.compromised fleet);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shards: verdict present for all members" shards)
+        true
+        (List.for_all (fun (_, v) -> v <> None) results))
+    shard_counts
+
+let test_shards_repeated () =
+  (* repeated sharded sweeps stay in lockstep with the reference fold *)
+  let reference = Fleet_ref.create ~ram_size:2048 [ "a"; "b"; "c" ] in
   let fleet = make () in
+  Fleet_ref.advance reference ~seconds:1.0;
   Fleet.advance fleet ~seconds:1.0;
-  let victim = Fleet.find fleet "b" in
-  let device = Session.device (Fleet.member_session victim) in
-  Cpu.store_bytes (Device.cpu device) (Device.attested_base device) "IMPLANT";
-  let results = Fleet.sweep_par ~domains:2 fleet in
-  Alcotest.(check (list string)) "victim flagged" [ "b" ] (Fleet.compromised fleet);
-  Alcotest.(check bool) "verdict present for all members" true
-    (List.for_all (fun (_, v) -> v <> None) results)
-
-let test_sweep_par_repeated () =
-  (* repeated parallel sweeps stay deterministic against the sequential run *)
-  let seq_fleet = make () and par_fleet = make () in
-  Fleet.advance seq_fleet ~seconds:1.0;
-  Fleet.advance par_fleet ~seconds:1.0;
-  for _ = 1 to 3 do
-    let a = Fleet.sweep seq_fleet and b = Fleet.sweep_par ~domains:2 par_fleet in
-    Alcotest.(check bool) "sweep round matches" true (a = b)
-  done;
+  List.iter
+    (fun shards ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sweep at %d shards matches" shards)
+        true
+        (Fleet.sweep ~engine:(`Shards shards) fleet = Fleet_ref.sweep reference))
+    [ 2; 3; 2 ];
   Alcotest.(check (list (float 0.0))) "clocks still in lockstep"
-    (clocks seq_fleet) (clocks par_fleet)
-
-let test_spawn_modes_agree () =
-  (* the pooled fast path and the legacy spawn-per-sweep path are the
-     same algorithm on different domains; states must be bit-identical *)
-  let pool_fleet = make () and fresh_fleet = make () in
-  let a = Fleet.sweep_par ~domains:3 ~spawn:`Pool pool_fleet in
-  let b = Fleet.sweep_par ~domains:3 ~spawn:`Fresh fresh_fleet in
-  Alcotest.(check bool) "verdicts identical" true (a = b);
-  Alcotest.(check (list (float 0.0)))
-    "clocks identical" (clocks pool_fleet) (clocks fresh_fleet);
-  Alcotest.(check bool) "summaries identical" true
-    (Fleet.summary pool_fleet = Fleet.summary fresh_fleet)
+    (List.map (fun (_, clock, _, _) -> clock) (Fleet_ref.state reference))
+    (clocks fleet)
 
 let test_pool_reuse () =
   let pool = Pool.create () in
@@ -201,10 +202,9 @@ let tests =
     Alcotest.test_case "health recovers after remediation" `Quick test_health_recovers;
     Alcotest.test_case "sweeps staggered" `Quick test_sweeps_are_staggered;
     Alcotest.test_case "summary" `Quick test_summary_shape;
-    Alcotest.test_case "sweep_par = sweep" `Quick test_sweep_par_matches_sweep;
-    Alcotest.test_case "sweep_par flags infection" `Quick test_sweep_par_flags_infection;
-    Alcotest.test_case "sweep_par repeated determinism" `Quick test_sweep_par_repeated;
-    Alcotest.test_case "spawn modes agree" `Quick test_spawn_modes_agree;
+    Alcotest.test_case "shards = reference fold" `Quick test_shards_match_reference;
+    Alcotest.test_case "shards flag infection" `Quick test_shards_flag_infection;
+    Alcotest.test_case "shards repeated determinism" `Quick test_shards_repeated;
     Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
     Alcotest.test_case "pool propagates exceptions" `Quick test_pool_propagates_exception;
     Alcotest.test_case "stream = materialised fingerprint" `Quick

@@ -153,8 +153,8 @@ let test_capture_stream_engine_invariant () =
       Alcotest.(check string)
         (Printf.sprintf "capsule stream identical under %s" label)
         reference (stream engine))
-    [ ("events", `Events); ("shards 1", `Shards 1); ("shards 2", `Shards 2);
-      ("shards 4", `Shards 4) ]
+    [ ("shards 1", `Shards 1); ("shards 2", `Shards 2); ("shards 3", `Shards 3);
+      ("shards 4", `Shards 4); ("shards 7", `Shards 7) ]
 
 let test_capture_has_failures_and_slowest () =
   let fleet = capturing_fleet () in

@@ -70,9 +70,9 @@ let test_determinism_across_runs () =
   in
   Alcotest.(check bool) "two runs identical" true (run () = run ())
 
-(* ---- delayed delivery through the queue ------------------------------- *)
+(* ---- delayed delivery on the channel --------------------------------- *)
 
-let test_channel_defer_hook () =
+let test_channel_delay_inline () =
   let time = Simtime.create () in
   let trace = Trace.create time in
   let ch = Channel.create time trace in
@@ -85,116 +85,103 @@ let test_channel_defer_hook () =
        (Impairment.create
           ~to_prover:{ Impairment.pristine with delay = 1.0; delay_s = 0.25 }
           ~seed:11L ()));
-  let sched = Sched.create () in
-  Channel.set_defer ch
-    (Some
-       (fun delay deliver ->
-         Sched.after sched ~delay (fun () ->
-             Simtime.advance_to time (Sched.now sched);
-             deliver ())));
-  Channel.send ch ~src:Channel.Verifier_side "hello";
-  Alcotest.(check bool) "forward consumed the message" true
-    (Channel.forward_next ch ~dst:Channel.Prover_side);
-  Alcotest.(check int) "delivery deferred, not dropped" 0 (List.length !got);
-  Alcotest.(check int) "one event queued" 1 (Sched.pending sched);
-  let fired = Sched.run sched in
-  Alcotest.(check int) "delivery event fired" 1 fired;
-  Alcotest.(check (list string)) "delivered through the queue" [ "hello" ] !got;
-  Alcotest.(check (float 0.0)) "clock advanced to the delivery time"
-    (Sched.now sched) (Simtime.now time);
-  (* with the hook removed, the delay advances the clock inline again *)
-  Channel.set_defer ch None;
+  (* a delayed delivery advances the session's own clock inline *)
   let before = Simtime.now time in
   Channel.send ch ~src:Channel.Verifier_side "inline";
   let (_ : bool) = Channel.forward_next ch ~dst:Channel.Prover_side in
-  Alcotest.(check (list string)) "inline delivery immediate" [ "inline"; "hello" ] !got;
+  Alcotest.(check (list string)) "inline delivery immediate" [ "inline" ] !got;
   Alcotest.(check bool) "inline delay advanced the clock" true
     (Simtime.now time >= before)
 
-(* ---- engine equivalence ----------------------------------------------- *)
+let test_metric_families_exported () =
+  let sched = Sched.create () in
+  Sched.at sched ~at:1.0 (fun () -> ());
+  ignore (Sched.run sched);
+  let exposition = Ra_obs.Export.render_prometheus Ra_obs.Registry.default in
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) ("exposition has " ^ family) true
+        (Trace.contains_substring ~needle:family exposition))
+    [ "ra_sched_events_total{"; "ra_sched_queue_depth" ]
+
+(* ---- the shard engine against the sequential reference fold ---------- *)
 
 let names = [ "a"; "b"; "c" ]
-let member_clock m = Simtime.now (Session.time (Fleet.member_session m))
 
-let fleet_state f =
-  ( Fleet.summary f,
-    List.map Fleet.member_history (Fleet.members f),
-    List.map member_clock (Fleet.members f),
-    List.map
-      (fun m -> Channel.transcript (Session.channel (Fleet.member_session m)))
-      (Fleet.members f) )
-
-let test_sweep_events_matches_seq () =
-  let a = Fleet.create ~ram_size:1024 ~names () in
-  let b = Fleet.create ~ram_size:1024 ~names () in
-  let ra = Fleet.sweep a in
-  let rb = Fleet.sweep ~engine:`Events b in
-  Alcotest.(check bool) "verdicts identical" true (ra = rb);
-  Alcotest.(check bool) "ledgers, clocks and transcripts identical" true
-    (fleet_state a = fleet_state b)
-
-let test_chaos_events_matches_seq () =
-  let run engine =
-    let f = Fleet.create ~ram_size:1024 ~names () in
-    let grid =
-      Fleet.chaos_sweep ~seed:99L ~engine ~rounds_per_member:3 ~losses:[ 0.0; 0.2 ]
-        ~policies:[ ("default", Retry.default) ]
-        f
-    in
-    (grid, fleet_state f)
-  in
-  Alcotest.(check bool) "grid, ledgers, clocks and transcripts identical" true
-    (run `Seq = run `Events)
-
-(* sharded engine vs the sequential oracle: verdicts, ledgers, clocks,
-   transcripts AND flight recorders, at every interesting shard count
-   (1 = degenerate, 2/3 = uneven splits of 3 members, 4/7 = more shards
-   than members, so some shards own empty ranges) *)
+(* every interesting shard count for 3 members: 1 = one shard on the
+   caller, 2/3 = uneven and singleton splits, 4/7 = more shards than
+   members, so some shards own empty ranges *)
 let shard_counts = [ 1; 2; 3; 4; 7 ]
 
-let traced_state f = (fleet_state f, Fleet.recent_rounds f)
-
-let test_sweep_shards_matches_seq () =
-  let run engine =
-    let f = Fleet.create ~ram_size:1024 ~names () in
-    Fleet.enable_tracing f;
-    let r = Fleet.sweep ~engine f in
-    (r, traced_state f)
-  in
-  let oracle = run `Seq in
+let test_sweep_matches_reference () =
+  let reference = Fleet_ref.create ~ram_size:1024 ~traced:true names in
+  let verdicts = Fleet_ref.sweep reference in
   List.iter
     (fun shards ->
-      Alcotest.(check bool)
-        (Printf.sprintf "sweep state identical at %d shards" shards)
-        true
-        (run (`Shards shards) = oracle))
+      let f = Fleet.create ~ram_size:1024 ~names () in
+      Fleet.enable_tracing f;
+      let label what = Printf.sprintf "%s at %d shards" what shards in
+      Alcotest.(check bool) (label "verdicts") true
+        (Fleet.sweep ~engine:(`Shards shards) f = verdicts);
+      Alcotest.(check bool) (label "ledgers, clocks, transcripts, recorders") true
+        (Fleet_ref.fleet_state f = Fleet_ref.state reference);
+      Alcotest.(check string) (label "fingerprint") (Fleet_ref.fingerprint reference)
+        (Fleet.fingerprint f))
     shard_counts
 
-let test_chaos_shards_matches_seq () =
-  let run engine =
-    let f = Fleet.create ~ram_size:1024 ~names () in
-    Fleet.enable_tracing f;
-    let grid =
-      Fleet.chaos_sweep ~seed:99L ~engine ~rounds_per_member:3 ~losses:[ 0.0; 0.2 ]
-        ~policies:[ ("default", Retry.default) ]
-        f
-    in
-    (grid, traced_state f)
+(* a lossy chaos grid with capture on: grid, member state, capsules and
+   fingerprint at every shard count *)
+let test_chaos_matches_reference () =
+  let losses = [ 0.0; 0.3 ] and policies = [ ("impatient", Retry.impatient) ] in
+  let reference = Fleet_ref.create ~ram_size:1024 ~traced:true names in
+  let grid =
+    Fleet_ref.chaos_sweep ~seed:99L ~rounds_per_member:3 ~losses ~policies reference
   in
-  let oracle = run `Seq in
   List.iter
     (fun shards ->
-      Alcotest.(check bool)
-        (Printf.sprintf "chaos state identical at %d shards" shards)
-        true
-        (run (`Shards shards) = oracle))
+      let f = Fleet.create ~ram_size:1024 ~names () in
+      Fleet.enable_tracing f;
+      ignore (Fleet.enable_forensics f);
+      let label what = Printf.sprintf "%s at %d shards" what shards in
+      Alcotest.(check bool) (label "grid") true
+        (Fleet.chaos_sweep ~seed:99L ~engine:(`Shards shards) ~rounds_per_member:3
+           ~losses ~policies f
+        = grid);
+      Alcotest.(check bool) (label "ledgers, clocks, transcripts, recorders") true
+        (Fleet_ref.fleet_state f = Fleet_ref.state reference);
+      Alcotest.(check bool) (label "capsules") true
+        (Fleet_ref.fleet_capsules f = reference.Fleet_ref.capsules);
+      Alcotest.(check string) (label "fingerprint") (Fleet_ref.fingerprint reference)
+        (Fleet.fingerprint f))
     shard_counts
+
+(* The chaos metric families, float sum included, must be exactly what
+   flushing the shard arenas in shard order gives. Eight members and
+   lossy cells give round times of very different magnitudes, so the
+   sum depends on the order the shard sums reach the registry. *)
+let test_chaos_metrics_match_reference () =
+  let names = List.init 8 (Printf.sprintf "m%d") in
+  let losses = [ 0.0; 0.3 ] and policies = [ ("impatient", Retry.impatient) ] in
+  let reference = Fleet_ref.create ~ram_size:1024 names in
+  ignore (Fleet_ref.chaos_sweep ~seed:7L ~rounds_per_member:3 ~losses ~policies reference);
+  List.iter
+    (fun shards ->
+      let f = Fleet.create ~ram_size:1024 ~names () in
+      Ra_obs.Registry.reset Ra_obs.Registry.default;
+      ignore
+        (Fleet.chaos_sweep ~seed:7L ~engine:(`Shards shards) ~rounds_per_member:3 ~losses
+           ~policies f);
+      Alcotest.(check bool)
+        (Printf.sprintf "metric totals at %d shards" shards)
+        true
+        (Fleet_ref.registry_chaos_metrics () = Fleet_ref.chaos_metrics ~shards reference))
+    shard_counts;
+  Ra_obs.Registry.reset Ra_obs.Registry.default
 
 let prop_sharded_engine_equivalent =
   let gen =
     QCheck.Gen.(
-      triple (float_bound_exclusive 0.5) (map Int64.of_int int)
-        (oneofl [ 1; 2; 3; 4; 7 ]))
+      triple (float_bound_exclusive 0.5) (map Int64.of_int int) (oneofl shard_counts))
   in
   QCheck.Test.make ~count:10
     ~name:
@@ -203,35 +190,15 @@ let prop_sharded_engine_equivalent =
     (QCheck.make gen ~print:(fun (loss, seed, shards) ->
          Printf.sprintf "loss=%.3f seed=%Ld shards=%d" loss seed shards))
     (fun (loss, seed, shards) ->
-      let run engine =
-        let f = Fleet.create ~ram_size:1024 ~names:[ "p"; "q"; "r" ] () in
-        Fleet.enable_tracing f;
-        let grid =
-          Fleet.chaos_sweep ~seed ~engine ~rounds_per_member:2 ~losses:[ loss ]
-            ~policies:[ ("impatient", Retry.impatient) ]
-            f
-        in
-        (grid, traced_state f)
-      in
-      run `Seq = run (`Shards shards))
-
-let prop_engines_verdict_equivalent =
-  let gen = QCheck.Gen.(pair (float_bound_exclusive 0.5) (map Int64.of_int int)) in
-  QCheck.Test.make ~count:10
-    ~name:"event engine = sequential oracle over random impairment seeds"
-    (QCheck.make gen ~print:(fun (loss, seed) ->
-         Printf.sprintf "loss=%.3f seed=%Ld" loss seed))
-    (fun (loss, seed) ->
-      let run engine =
-        let f = Fleet.create ~ram_size:1024 ~names:[ "p"; "q" ] () in
-        let grid =
-          Fleet.chaos_sweep ~seed ~engine ~rounds_per_member:2 ~losses:[ loss ]
-            ~policies:[ ("impatient", Retry.impatient) ]
-            f
-        in
-        (grid, fleet_state f)
-      in
-      run `Seq = run `Events)
+      let names = [ "p"; "q"; "r" ] in
+      let losses = [ loss ] and policies = [ ("impatient", Retry.impatient) ] in
+      let reference = Fleet_ref.create ~ram_size:1024 ~traced:true names in
+      let f = Fleet.create ~ram_size:1024 ~names () in
+      Fleet.enable_tracing f;
+      Fleet.chaos_sweep ~seed ~engine:(`Shards shards) ~rounds_per_member:2 ~losses
+        ~policies f
+      = Fleet_ref.chaos_sweep ~seed ~rounds_per_member:2 ~losses ~policies reference
+      && Fleet_ref.fleet_state f = Fleet_ref.state reference)
 
 (* ---- retry bound used for scheduler horizons -------------------------- *)
 
@@ -263,12 +230,12 @@ let tests =
     Alcotest.test_case "run until horizon" `Quick test_run_until_horizon;
     Alcotest.test_case "negative delay rejected" `Quick test_after_negative_rejected;
     Alcotest.test_case "determinism across runs" `Quick test_determinism_across_runs;
-    Alcotest.test_case "channel defer hook" `Quick test_channel_defer_hook;
-    Alcotest.test_case "sweep: events = seq" `Quick test_sweep_events_matches_seq;
-    Alcotest.test_case "chaos: events = seq" `Slow test_chaos_events_matches_seq;
-    Alcotest.test_case "sweep: shards = seq" `Quick test_sweep_shards_matches_seq;
-    Alcotest.test_case "chaos: shards = seq" `Slow test_chaos_shards_matches_seq;
+    Alcotest.test_case "channel delay inline" `Quick test_channel_delay_inline;
+    Alcotest.test_case "metric families exported" `Quick test_metric_families_exported;
+    Alcotest.test_case "sweep: shards = seq" `Quick test_sweep_matches_reference;
+    Alcotest.test_case "chaos: shards = seq" `Slow test_chaos_matches_reference;
+    Alcotest.test_case "chaos: metric totals = reference" `Quick
+      test_chaos_metrics_match_reference;
     QCheck_alcotest.to_alcotest prop_sharded_engine_equivalent;
-    QCheck_alcotest.to_alcotest prop_engines_verdict_equivalent;
     Alcotest.test_case "max_total_s bounds a round" `Quick test_max_total_s_bounds_round;
   ]

@@ -396,34 +396,28 @@ let test_tracing_profiling_wire_neutral () =
 
 (* ---- fleet engine identity --------------------------------------------- *)
 
-let fleet_fingerprint ~seed ~loss ~records engine =
-  let t = Fleet.create ~ram_size:2048 ~names:[ "m0"; "m1" ] () in
-  let cells =
-    Fleet.chaos_sweep ~seed ~rounds_per_member:2 ~engine ~workload:(`Session records)
-      ~losses:[ loss ]
-      ~policies:[ ("default", Retry.default) ]
-      t
-  in
-  let wire =
-    String.concat "@"
-      (List.map
-         (fun m ->
-           String.concat "|" (frames_from (Fleet.member_session m) ~pos:0))
-         (Fleet.members t))
-  in
-  (cells, Digest.to_hex (Digest.string wire))
-
 let qcheck_engines_byte_identical =
   QCheck.Test.make ~name:"secure: session transcripts identical across engines"
     ~count:3
     QCheck.(triple (int_range 1 1000) (int_range 0 3) (int_range 0 2))
     (fun (seed, loss_decile, records) ->
       let seed = Int64.of_int seed and loss = float_of_int loss_decile /. 10.0 in
-      let cells_seq, wire_seq = fleet_fingerprint ~seed ~loss ~records `Seq in
-      let cells_ev, wire_ev = fleet_fingerprint ~seed ~loss ~records `Events in
-      let cells_sh, wire_sh = fleet_fingerprint ~seed ~loss ~records (`Shards 2) in
-      cells_seq = cells_ev && cells_seq = cells_sh && wire_seq = wire_ev
-      && wire_seq = wire_sh)
+      let names = [ "m0"; "m1" ] and workload = `Session records in
+      let losses = [ loss ] and policies = [ ("default", Retry.default) ] in
+      let reference = Fleet_ref.create ~ram_size:2048 names in
+      let cells =
+        Fleet_ref.chaos_sweep ~seed ~rounds_per_member:2 ~workload ~losses ~policies
+          reference
+      in
+      List.for_all
+        (fun shards ->
+          let t = Fleet.create ~ram_size:2048 ~names () in
+          Fleet.chaos_sweep ~seed ~rounds_per_member:2 ~engine:(`Shards shards)
+            ~workload ~losses ~policies t
+          = cells
+          && Fleet_ref.fleet_state t = Fleet_ref.state reference
+          && Fleet.fingerprint t = Fleet_ref.fingerprint reference)
+        [ 1; 2; 3; 4; 7 ])
 
 let test_chaos_sweep_session_workload () =
   let t = Fleet.create ~ram_size:2048 ~names:[ "a"; "b"; "c" ] () in
