@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke chaos-smoke trace-smoke shard-smoke prof-smoke server-smoke forensics-smoke session-smoke examples docs clean loc
+.PHONY: all build test bench smoke examples docs clean loc
 
 all: build
 
@@ -13,61 +13,21 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# quick hot-path regression check (reduced quotas + small fleet)
-bench-smoke:
-	BENCH_SMOKE=1 dune exec bench/main.exe -- hotpath obs-overhead
-
-# impairment + retry-engine sanity: CLI selftest, then a reduced chaos grid
-chaos-smoke:
-	dune exec bin/ra_cli.exe -- chaos --selftest
-	BENCH_SMOKE=1 dune exec bench/main.exe -- chaos
-
-# causal-tracing sanity: CLI selftest (Perfetto export, wire neutrality,
-# SLO edge cases), then the tracing-overhead gate
-trace-smoke:
-	dune exec bin/ra_cli.exe -- trace --selftest
-	BENCH_SMOKE=1 dune exec bench/main.exe -- trace
-
-# fleet-engine sanity: the reduced sched bench (shard fold timings,
-# stream fingerprint invariance, scaling grid, gate bookkeeping); engine
-# identity against the reference fold is covered by dune runtest
-shard-smoke:
-	BENCH_SMOKE=1 dune exec bench/main.exe -- sched
-
-# profiler sanity: CLI selftest (cycle-exact attribution, symbolization,
-# shard-invariant merges, folded/JSONL/Perfetto exports), then the
-# sampling-overhead + wire-neutrality gates (BENCH_prof.json); also leaves
-# profile.folded and profile.perfetto.json behind for artifact upload
-prof-smoke:
-	dune exec bin/ra_cli.exe -- profile --selftest --folded profile.folded --out profile.perfetto.json
-	BENCH_SMOKE=1 dune exec bench/main.exe -- prof
-
-# verifier-as-a-service sanity: CLI selftest (batched-vs-single verdicts,
-# Seq-vs-Shards admission determinism, flood goodput + drop attribution,
-# shared rejection-reason labels), then the reduced server bench
-# (BENCH_server.json: batching speedup, flood goodput and p99 gates)
-server-smoke:
-	dune exec bin/ra_cli.exe -- serve --selftest
-	BENCH_SMOKE=1 dune exec bench/main.exe -- server
-
-# failure-forensics sanity: CLI selftest (capsule JSON round-trips,
-# shard-invariant capsule streams, byte-identical replay, ranked
-# triage, bucket exemplars, capture wire-neutrality), then the reduced
-# forensics bench (BENCH_forensics.json: capture-overhead gate + replay
-# identity at 10k devices in the full run); leaves the diagnosis report
-# and the replayed round's Perfetto trace behind for artifact upload
-forensics-smoke:
-	dune exec bin/ra_cli.exe -- replay --selftest --diagnosis diagnosis.jsonl --perfetto replay.perfetto.json
-	BENCH_SMOKE=1 dune exec bench/main.exe -- forensics
-
-# secure-session sanity: CLI selftest (deterministic transcripts, shard-count
-# identity, observability wire-neutrality, loss convergence, and the
-# MITM/splice/replay/tamper adversary suite), then the reduced session
-# bench (BENCH_session.json: record throughput, handshake amortization,
-# shard-identical convergence under 20% loss)
-session-smoke:
-	dune exec bin/ra_cli.exe -- session --selftest
-	BENCH_SMOKE=1 dune exec bench/main.exe -- session
+# The one gate harness CI runs: the test suite (every former CLI
+# selftest lives there), the reduced BENCH sections (one process each,
+# so no section inherits another's heap; written under _smoke/, never
+# over the committed full-run files), the paper tables, the perfbench
+# cost-ladder oracles, and the artifact-producing CLI drivers
+# (profile.folded, profile.perfetto.json, diagnosis.jsonl,
+# replay.perfetto.json) for upload.
+smoke: build
+	dune runtest
+	for s in hotpath obs-overhead chaos trace sched prof server forensics session; do \
+	  BENCH_SMOKE=1 dune exec bench/main.exe -- $$s || exit 1; done
+	dune exec bench/main.exe -- table1 table2 table3 overhead clocks lattice
+	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --smoke
+	dune exec bin/ra_cli.exe -- profile --folded profile.folded --out profile.perfetto.json
+	dune exec bin/ra_cli.exe -- replay --diagnosis diagnosis.jsonl --perfetto replay.perfetto.json
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1,6 +1,6 @@
 (* End-to-end causal tracing: session rounds under impairment, wire
-   neutrality (tracing must not change transcripts), the fleet SLO
-   watchdog and the flight-recorder bound. *)
+   neutrality (tracing or profiling must not change transcripts), the
+   fleet SLO watchdog, the flight-recorder bound and the round exports. *)
 
 module Session = Ra_core.Session
 module Fleet = Ra_core.Fleet
@@ -78,14 +78,14 @@ let test_benign_round_traced () =
          rd.Trace.rd_events)
   | rds -> Alcotest.failf "expected one sealed round, got %d" (List.length rds)
 
-(* Tracing must be invisible on the wire: the same lossy schedule with
-   and without a tracer attached produces identical rounds, verdicts and
-   prover clocks. *)
+(* Observation must be invisible on the wire: the same lossy schedule
+   with a tracer or a profiler attached produces identical rounds,
+   verdicts, prover clocks and wire frames. *)
 let test_wire_neutrality () =
-  let run ~traced =
+  let run observe =
     let s = Session.create ~ram_size:4096 () in
     Session.advance_time s ~seconds:1.0;
-    if traced then ignore (Session.enable_tracing s);
+    observe s;
     Session.set_impairment s
       (Some
          (Impairment.create ~to_prover:(Impairment.lossy 0.3)
@@ -96,11 +96,21 @@ let test_wire_neutrality () =
           (Verdict.label r.Session.r_verdict, r.Session.r_attempts,
            r.Session.r_elapsed_s))
     in
-    (rounds, Session.prover_wall_ms s, List.length (Session.verdicts s))
+    ( rounds,
+      Session.prover_wall_ms s,
+      List.length (Session.verdicts s),
+      List.map
+        (fun e -> e.Ra_net.Channel.payload)
+        (Ra_net.Channel.transcript (Session.channel s)) )
   in
-  let plain = run ~traced:false in
-  let traced = run ~traced:true in
-  Alcotest.(check bool) "identical transcripts" true (plain = traced)
+  let plain = run ignore in
+  let rounds, _, _, _ = plain in
+  Alcotest.(check bool) "the loss schedule forces a retransmission" true
+    (List.exists (fun (_, attempts, _) -> attempts > 1) rounds);
+  Alcotest.(check bool) "identical transcripts" true
+    (plain = run (fun s -> ignore (Session.enable_tracing s)));
+  Alcotest.(check bool) "identical transcripts with profiling" true
+    (plain = run (fun s -> ignore (Session.enable_profiling s)))
 
 let test_recorder_bound_across_rounds () =
   let s = Session.create ~ram_size:4096 () in
@@ -160,6 +170,72 @@ let test_fleet_slo_watchdog () =
   Alcotest.(check int) "snapshot embeds slo checks" (List.length checks)
     (List.length snap.Fleet.s_slo)
 
+(* A traced chaos cell: every recorded round exports through Perfetto
+   and JSONL, and the run moves the trace and SLO metric families. *)
+let test_traced_cell_exports () =
+  let recorded, changed =
+    Metric_diff.moved (fun () ->
+        let fleet = Fleet.create ~ram_size:4096 ~names:[ "ex-a"; "ex-b"; "ex-c" ] () in
+        Fleet.enable_tracing fleet;
+        ignore
+          (Fleet.chaos_sweep ~rounds_per_member:3 ~losses:[ 0.2 ]
+             ~policies:[ ("default", Retry.default) ]
+             fleet);
+        ignore (Fleet.slo_watch fleet);
+        ignore
+          (Fleet.slo_watch
+             ~policy:{ Fleet.default_slo_policy with Fleet.slo_max_p99_s = 0.0 }
+             fleet);
+        Fleet.recent_rounds fleet)
+  in
+  Alcotest.(check int) "every round recorded" 9 (List.length recorded);
+  List.iter
+    (fun rd ->
+      Alcotest.(check int) "one attempt span per transmission" rd.Trace.rd_attempts
+        (List.length (events_named "retry.attempt" rd));
+      Alcotest.(check int) "one verdict instant" 1
+        (List.length (events_named "verdict" rd)))
+    recorded;
+  Alcotest.(check bool) "drops recorded" true
+    (List.exists (fun rd -> events_named "net.drop" rd <> []) recorded);
+  Alcotest.(check bool) "retries recorded" true
+    (List.exists (fun rd -> rd.Trace.rd_attempts > 1) recorded);
+  (match Ra_obs.Json.of_string (Ra_obs.Export.perfetto_string recorded) with
+  | Error e -> Alcotest.failf "perfetto export unparseable: %s" e
+  | Ok j ->
+    let evs =
+      match Ra_obs.Json.member "traceEvents" j with
+      | Some (Ra_obs.Json.Arr evs) -> evs
+      | _ -> []
+    in
+    Alcotest.(check bool) "traceEvents non-empty" true (evs <> []);
+    Alcotest.(check bool) "every event rides tid = args.trace_id" true
+      (List.for_all
+         (fun ev ->
+           match Ra_obs.Json.member "ph" ev with
+           | Some (Ra_obs.Json.Str "M") -> true
+           | _ -> (
+             match
+               ( Ra_obs.Json.member "tid" ev,
+                 Option.bind (Ra_obs.Json.member "args" ev)
+                   (Ra_obs.Json.member "trace_id") )
+             with
+             | Some (Ra_obs.Json.Num tid), Some (Ra_obs.Json.Num tr) -> tid = tr
+             | _ -> false))
+         evs));
+  (match Ra_obs.Export.parse_jsonl (Ra_obs.Export.rounds_jsonl recorded) with
+  | Error e -> Alcotest.failf "rounds JSONL unparseable: %s" e
+  | Ok lines ->
+    Alcotest.(check int) "one JSONL line per round" (List.length recorded)
+      (List.length lines);
+    Alcotest.(check bool) "rounds JSONL round-trips" true
+      (List.for_all2 (fun j rd -> Trace.round_of_json j = Some rd) lines recorded));
+  Metric_diff.check_families changed
+    [
+      "ra_trace_rounds_total"; "ra_trace_events_total"; "ra_slo_evaluations_total";
+      "ra_slo_breaches_total"; "ra_slo_margin";
+    ]
+
 let tests =
   [
     Alcotest.test_case "timeout round traced" `Quick test_timeout_round_traced;
@@ -168,4 +244,6 @@ let tests =
     Alcotest.test_case "recorder bound across rounds" `Quick
       test_recorder_bound_across_rounds;
     Alcotest.test_case "fleet slo watchdog" `Quick test_fleet_slo_watchdog;
+    Alcotest.test_case "traced cell exports and families" `Quick
+      test_traced_cell_exports;
   ]

@@ -168,11 +168,17 @@ let test_chaos_sweep_deterministic_across_shards () =
 
 let test_chaos_sweep_grid () =
   let fleet = Fleet.create ~ram_size:1024 ~names:[ "a"; "b"; "c"; "d" ] () in
-  let grid =
-    Fleet.chaos_sweep ~seed:7L ~rounds_per_member:5 ~losses:[ 0.0; 0.2 ]
-      ~policies:[ ("default", Retry.default) ]
-      fleet
+  let grid, changed =
+    Metric_diff.moved (fun () ->
+        Fleet.chaos_sweep ~seed:7L ~rounds_per_member:5 ~losses:[ 0.0; 0.2 ]
+          ~policies:[ ("default", Retry.default) ]
+          fleet)
   in
+  Metric_diff.check_families changed
+    [
+      "ra_channel_impairments_total"; "ra_chaos_rounds_total";
+      "ra_chaos_round_time_ms"; "ra_session_rounds_total";
+    ];
   Alcotest.(check int) "two cells" 2 (List.length grid);
   let pristine = List.nth grid 0 and lossy = List.nth grid 1 in
   Alcotest.(check (float 0.0)) "pristine converges fully" 100.0

@@ -375,6 +375,76 @@ let test_shard_metric_equality () =
       Alcotest.(check bool) (n1 ^ " sample equal") true (s1 = s2))
     seq par
 
+(* --- a fleet sweep plus the service path moves every family the
+   stats driver prints, and the counters agree with the run --- *)
+
+let test_fleet_service_families () =
+  let module Fleet = Ra_core.Fleet in
+  let module Session = Ra_core.Session in
+  let module Service = Ra_core.Service in
+  let module Verdict = Ra_core.Verdict in
+  let members = 4 and sweeps = 2 in
+  let (fleet, first, acked, forged, stale), changed =
+    Metric_diff.moved (fun () ->
+        let names = List.init members (Printf.sprintf "device-%02d") in
+        let fleet = Fleet.create ~ram_size:4096 ~names () in
+        for _ = 1 to sweeps do
+          Fleet.advance fleet ~seconds:10.0;
+          ignore (Fleet.sweep fleet)
+        done;
+        let first = Fleet.member_session (List.hd (Fleet.members fleet)) in
+        let acked = Session.service_round first Service.Ping in
+        let scheme = Ra_core.Verifier.scheme (Session.verifier first) in
+        let request ~sym_key counter =
+          Service.handle_r (Session.service first)
+            (Service.make_request ~sym_key ~scheme
+               ~freshness:(Ra_core.Message.F_counter counter) Service.Ping)
+        in
+        let forged = request ~sym_key:(String.make 20 'x') 99L in
+        let stale = request ~sym_key:(Session.sym_key first) 0L in
+        ignore (Fleet.health_snapshot fleet);
+        (fleet, first, acked, forged, stale))
+  in
+  Metric_diff.check_families changed
+    [
+      "ra_attest_requests_total"; "ra_auth_verifications_total";
+      "ra_channel_sent_total"; "ra_channel_delivered_total";
+      "ra_fleet_sweep_latency_ms"; "ra_fleet_members";
+      "ra_service_invocations_total"; "ra_service_rejections_total";
+      "ra_verifier_verdicts_total"; "ra_span_ms"; "ra_device_cycles";
+    ];
+  Alcotest.(check bool) "service round acknowledged" true acked;
+  (match forged with
+  | Error Verdict.Bad_auth -> ()
+  | _ -> Alcotest.fail "forged request not rejected as bad_auth");
+  (match stale with
+  | Error (Verdict.Not_fresh _) -> ()
+  | _ -> Alcotest.fail "stale request not rejected as not_fresh");
+  let st = Service.stats (Session.service first) in
+  Alcotest.(check int) "bad_auth rejections" 1 (Service.rejected st Verdict.Reason.Bad_auth);
+  Alcotest.(check int) "not_fresh rejections" 1
+    (Service.rejected st Verdict.Reason.Not_fresh);
+  Alcotest.(check int) "rejections total" 2 (Service.rejections st);
+  Alcotest.(check int) "one trusted verdict per member per sweep" (members * sweeps)
+    (Registry.Counter.value
+       (Registry.Counter.get ~labels:[ ("verdict", "trusted") ]
+          "ra_verifier_verdicts_total"));
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        ("spans balanced on " ^ Ra_core.Fleet.member_name m)
+        0
+        (Span.open_count (Ra_net.Trace.spans (Session.trace (Fleet.member_session m)))))
+    (Fleet.members fleet);
+  let non_empty_jsonl what text =
+    match Export.parse_jsonl text with
+    | Ok (_ :: _) -> ()
+    | Ok [] -> Alcotest.failf "%s JSONL is empty" what
+    | Error e -> Alcotest.failf "%s JSONL unparseable: %s" what e
+  in
+  non_empty_jsonl "metrics" (Export.metrics_jsonl Registry.default);
+  non_empty_jsonl "spans" (Export.spans_jsonl (Ra_net.Trace.spans (Session.trace first)))
+
 let tests =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
@@ -395,4 +465,6 @@ let tests =
     Alcotest.test_case "hostile names escaped" `Quick test_hostile_names_escaped;
     QCheck_alcotest.to_alcotest qcheck_percentile_oracle;
     Alcotest.test_case "shard metric equality" `Quick test_shard_metric_equality;
+    Alcotest.test_case "fleet + service run moves every family" `Quick
+      test_fleet_service_families;
   ]

@@ -172,6 +172,56 @@ let test_isa_sha1_flame () =
        (fun (frames, _, _) -> List.hd frames = "rom_attest")
        (Profiler.Pc.rows pc))
 
+(* the interpreted anchor answering a real attestation request while
+   PC-sampled: the flame graph `ra_cli profile` prints *)
+let sampled_anchor_round () =
+  let sym_key = "K_attest_0123456789." in
+  let device =
+    Device.create ~ram_size:2048
+      ~rom_images:[ (Device.region_attest, Isa_anchor.rom_image ()) ]
+      ~key:(Auth.prover_key_blob ~sym_key ~public:None)
+      ()
+  in
+  Device.fill_ram_deterministic device ~seed:11L;
+  let anchor =
+    Isa_anchor.install device ~scheme:(Some Timing.Auth_hmac_sha1)
+      ~policy:Freshness.Counter
+  in
+  let verifier =
+    match
+      Verifier.of_config
+        (Verifier.Config.v ~scheme:Timing.Auth_hmac_sha1
+           ~freshness_kind:Verifier.Fk_counter ~sym_key
+           ~time:(Ra_net.Simtime.create ())
+           ~reference_image:(Isa_anchor.measure_memory anchor) ())
+    with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "verifier: %s" msg
+  in
+  let pc = Profiler.Pc.create () in
+  let sampler = Ra_isa.Sampler.create ~memory:(Device.memory device) pc in
+  Ra_isa.Sha1_asm.set_sampler (Isa_anchor.sha anchor) (Some sampler);
+  let attested =
+    Result.is_ok (Isa_anchor.handle_request anchor (Verifier.make_request verifier))
+  in
+  Ra_isa.Sampler.flush sampler;
+  (pc, attested, Isa_anchor.last_mac_cycles anchor)
+
+let test_isa_anchor_under_sampling () =
+  let pc, attested, mac_cycles = sampled_anchor_round () in
+  Alcotest.(check bool) "anchor attests under sampling" true attested;
+  Alcotest.(check int64) "every interpreted mac cycle attributed" mac_cycles
+    (Profiler.Pc.cycles pc);
+  let symbolized =
+    Profiler.Pc.cycles_matching pc ~f:(fun leaf ->
+        not (String.length leaf >= 2 && String.sub leaf 0 2 = "0x"))
+  in
+  Alcotest.(check bool) ">= 90% of cycles symbolized" true
+    (Int64.to_float symbolized >= 0.9 *. Int64.to_float mac_cycles);
+  let pc2, _, _ = sampled_anchor_round () in
+  Alcotest.(check string) "flame graph deterministic across runs"
+    (Profiler.Pc.folded pc) (Profiler.Pc.folded pc2)
+
 (* --- session phase attribution --- *)
 
 let test_session_phases_and_trace_ids () =
@@ -250,6 +300,76 @@ let test_fleet_profile_shard_invariant () =
   in
   Alcotest.(check (list string)) "every member contributed" (List.sort compare names)
     devices
+
+(* --- a profiled lossy chaos cell on the sharded engine: exports,
+   run-to-run determinism and wire-neutrality --- *)
+
+let profiled_chaos_fleet ~profiled () =
+  let fleet =
+    Fleet.create ~ram_size:2048 ~names:(List.init 4 (Printf.sprintf "dev-%d")) ()
+  in
+  Fleet.enable_tracing fleet;
+  if profiled then Fleet.enable_profiling fleet;
+  Fleet.advance fleet ~seconds:1.0;
+  let grid =
+    Fleet.chaos_sweep ~seed:42L ~engine:(`Shards 2) ~rounds_per_member:3
+      ~losses:[ 0.2 ]
+      ~policies:[ ("default", Retry.default) ]
+      fleet
+  in
+  (fleet, grid)
+
+let test_profiled_chaos_cell () =
+  let fleet, grid = profiled_chaos_fleet ~profiled:true () in
+  let p = Fleet.profile ~shards:2 fleet in
+  let fleet2, _ = profiled_chaos_fleet ~profiled:true () in
+  let p2 = Fleet.profile ~shards:2 fleet2 in
+  Alcotest.(check string) "JSONL deterministic across runs"
+    (Ra_obs.Export.profile_jsonl p) (Ra_obs.Export.profile_jsonl p2);
+  (* the driver folds the sampled anchor's stacks into the fleet profile:
+     one folded file, every line "frame;frame;... cycles" *)
+  let pc, _, _ = sampled_anchor_round () in
+  Profiler.Pc.absorb p.Profiler.pc pc;
+  let folded = Profiler.folded p in
+  Alcotest.(check bool) "folded stacks present" true (folded <> "");
+  String.split_on_char '\n' folded
+  |> List.filter (fun l -> l <> "")
+  |> List.iter (fun line ->
+         let ok =
+           match String.rindex_opt line ' ' with
+           | Some i when i > 0 -> (
+             match Int64.of_string_opt (String.sub line (i + 1) (String.length line - i - 1)) with
+             | Some c -> Int64.compare c 0L > 0
+             | None -> false)
+           | _ -> false
+         in
+         Alcotest.(check bool) ("'stack cycles' line: " ^ line) true ok);
+  let rounds = Fleet.recent_rounds fleet in
+  Alcotest.(check bool) "the lossy cell retried" true
+    (List.exists (fun r -> r.Ra_obs.Trace.rd_attempts > 1) rounds);
+  Alcotest.(check bool) "wait attributed on retried rounds" true
+    (List.mem_assoc "wait" (Profiler.Phases.totals p.Profiler.phases));
+  let perfetto =
+    Ra_obs.Export.perfetto_string ~phases:(Profiler.Phases.samples p.Profiler.phases) rounds
+  in
+  (match Ra_obs.Json.of_string perfetto with
+  | Error e -> Alcotest.failf "perfetto export unparseable: %s" e
+  | Ok j ->
+    let evs =
+      match Ra_obs.Json.member "traceEvents" j with
+      | Some (Ra_obs.Json.Arr evs) -> evs
+      | _ -> []
+    in
+    Alcotest.(check bool) "phase instants present" true
+      (List.exists
+         (fun ev ->
+           match Ra_obs.Json.member "name" ev with
+           | Some (Ra_obs.Json.Str s) -> String.length s > 6 && String.sub s 0 6 = "phase."
+           | _ -> false)
+         evs));
+  let _, plain_grid = profiled_chaos_fleet ~profiled:false () in
+  Alcotest.(check bool) "chaos grid identical with profiling on/off" true
+    (grid = plain_grid)
 
 (* --- counter tracks and their Perfetto export (satellite) --- *)
 
@@ -356,11 +476,13 @@ let tests =
       test_sampler_attribution_exact;
     Alcotest.test_case "sampler deterministic" `Quick test_sampler_deterministic;
     Alcotest.test_case "in-ISA sha1 flame graph" `Quick test_isa_sha1_flame;
+    Alcotest.test_case "isa anchor under sampling" `Quick test_isa_anchor_under_sampling;
     Alcotest.test_case "session phases + trace ids" `Quick
       test_session_phases_and_trace_ids;
     Alcotest.test_case "phase ring wraparound" `Quick test_phase_ring_wraparound;
     Alcotest.test_case "fleet profile shard-invariant" `Quick
       test_fleet_profile_shard_invariant;
+    Alcotest.test_case "profiled chaos cell" `Quick test_profiled_chaos_cell;
     Alcotest.test_case "track merge grouping-invariant" `Quick
       test_track_merge_grouping_invariant;
     Alcotest.test_case "perfetto counter track" `Quick test_perfetto_counter_track;

@@ -394,6 +394,29 @@ let test_tracing_profiling_wire_neutral () =
   in
   Alcotest.(check (list string)) "transcripts byte-identical" bare observed
 
+(* a session-workload chaos sweep with forensics, tracing and profiling
+   all on leaves the same fleet fingerprint and cells as a bare one *)
+let test_fleet_observability_wire_neutral () =
+  let run ~observe =
+    let t = Fleet.create ~ram_size:2048 ~names:[ "a"; "b"; "c" ] () in
+    if observe then begin
+      ignore (Fleet.enable_forensics t);
+      Fleet.enable_tracing t;
+      Fleet.enable_profiling t
+    end;
+    let cells =
+      Fleet.chaos_sweep ~seed:23L ~rounds_per_member:2 ~workload:(`Session 3)
+        ~losses:[ 0.0; 0.2 ]
+        ~policies:[ ("default", Retry.default) ]
+        t
+    in
+    (Fleet.fingerprint t, cells)
+  in
+  let fp, cells = run ~observe:false in
+  let fp_obs, cells_obs = run ~observe:true in
+  Alcotest.(check string) "fleet fingerprint unchanged" fp fp_obs;
+  Alcotest.(check bool) "cells unchanged" true (cells = cells_obs)
+
 (* ---- fleet engine identity --------------------------------------------- *)
 
 let qcheck_engines_byte_identical =
@@ -478,6 +501,8 @@ let tests =
     Alcotest.test_case "dead wire times out" `Quick test_all_frames_lost_times_out;
     Alcotest.test_case "tracing/profiling wire-neutral" `Quick
       test_tracing_profiling_wire_neutral;
+    Alcotest.test_case "fleet observability wire-neutral" `Quick
+      test_fleet_observability_wire_neutral;
     QCheck_alcotest.to_alcotest qcheck_engines_byte_identical;
     Alcotest.test_case "chaos sweep session workload" `Quick
       test_chaos_sweep_session_workload;

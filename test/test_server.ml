@@ -414,6 +414,41 @@ let test_breakdown_labels_agree () =
       (Verdict.Bad_auth, Verdict.Reason.Bad_auth);
     ]
 
+(* Both sides of the wire publish their rejections into the process-wide
+   registry under the shared Verdict.Reason labels: a flooded server run
+   and one forged service request, made here, move those series. *)
+let test_shared_reason_labels_exposed () =
+  let (), changed =
+    Metric_diff.moved (fun () ->
+        let flood =
+          { quiet_traffic with Server.Load.tr_flood_sources = 8; tr_flood_rate = 30.0 }
+        in
+        ignore (Server.Load.run (load_config ()) flood);
+        let fleet = Fleet.create ~ram_size:4096 ~names:[ "serve-dev" ] () in
+        Fleet.advance fleet ~seconds:10.0;
+        ignore (Fleet.sweep fleet);
+        let first = Fleet.member_session (List.hd (Fleet.members fleet)) in
+        let scheme = Verifier.scheme (Session.verifier first) in
+        ignore
+          (Service.handle_r (Session.service first)
+             (Service.make_request ~sym_key:(String.make 20 'x') ~scheme
+                ~freshness:(Message.F_counter 99L) Service.Ping)))
+  in
+  Alcotest.(check string) "rate_limited label" "rate_limited"
+    (Verdict.Reason.label Verdict.Reason.Rate_limited);
+  Alcotest.(check string) "bad_auth label" "bad_auth"
+    (Verdict.Reason.label Verdict.Reason.Bad_auth);
+  let moved name labels =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s{%s} moved" name
+         (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)))
+      true
+      (Metric_diff.series changed name labels)
+  in
+  moved "ra_server_rejections_total" [ ("reason", "rate_limited") ];
+  moved "ra_service_rejections_total" [ ("reason", "bad_auth") ];
+  moved "ra_server_verdicts_total" [ ("verdict", "trusted") ]
+
 let test_publish_and_slo () =
   let registry = Ra_obs.Registry.create () in
   let _sched, server = make ~batch:1 () in
@@ -464,4 +499,6 @@ let tests =
     Alcotest.test_case "breakdown labels agree across sides" `Quick
       test_breakdown_labels_agree;
     Alcotest.test_case "publish and SLO wiring" `Quick test_publish_and_slo;
+    Alcotest.test_case "shared reason labels exposed" `Quick
+      test_shared_reason_labels_exposed;
   ]
