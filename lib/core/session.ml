@@ -260,8 +260,8 @@ let wire verifier (prover : Architecture.prover) =
   Cpu.on_advance cpu (fun _ delta kind ->
       match (kind, t.profiler) with
       | Cpu.Idle, Some _ when t.in_flight ->
-        let seconds = Int64.to_float delta /. hz in
-        profile_phase "wait" ~cycles:delta ~nj:(seconds *. sleep_uw *. 1e3)
+        let seconds = float_of_int delta /. hz in
+        profile_phase "wait" ~cycles:(Int64.of_int delta) ~nj:(seconds *. sleep_uw *. 1e3)
       | _ -> ());
   t
 

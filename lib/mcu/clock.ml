@@ -51,23 +51,20 @@ let create_sw_clock cpu interrupt ~lsb_width ~divider_log2 ~msb_addr ~timer_vect
   Interrupt.register_handler interrupt ~entry_addr:handler_entry
     ~code_region:handler_region ~handler;
   Interrupt.set_vector_raw interrupt ~vector:timer_vector ~entry_addr:handler_entry;
-  (* wrap-around detector on the hardware LSB counter *)
-  let last = ref (raw_ticks cpu divider_log2) in
+  (* wrap-around detector on the hardware LSB counter; the native counter
+     is non-negative and below 2^62, so [lsr] is the int64 logical shift
+     (and a divider that wide leaves no ticks) *)
+  let ticks () =
+    if divider_log2 >= Sys.int_size then 0 else Cpu.cycles_int cpu lsr divider_log2
+  in
+  let last = ref (ticks ()) in
   Cpu.on_advance cpu (fun _ _ _ ->
-      let now = raw_ticks cpu divider_log2 in
-      let wraps =
-        Int64.sub
-          (Int64.shift_right_logical now lsb_width)
-          (Int64.shift_right_logical !last lsb_width)
-      in
+      let now = ticks () in
+      let wraps = (now lsr lsb_width) - (!last lsr lsb_width) in
       last := now;
-      let rec fire n =
-        if Int64.compare n 0L > 0 then begin
-          Interrupt.raise_irq interrupt ~vector:timer_vector;
-          fire (Int64.sub n 1L)
-        end
-      in
-      fire wraps);
+      for _ = 1 to wraps do
+        Interrupt.raise_irq interrupt ~vector:timer_vector
+      done);
   t
 
 let kind t = t.kind

@@ -12,11 +12,11 @@ type t = {
   memory : Memory.t;
   mpu : Ea_mpu.t;
   clock_hz : int;
-  mutable cycles : int64;
-  mutable work_cycles : int64;
+  mutable cycles : int;
+  mutable work_cycles : int;
   mutable context : string;
   mutable faults : fault list;
-  mutable listeners : (t -> int64 -> advance -> unit) list;
+  mutable listeners : (t -> int -> advance -> unit) list; (* newest first *)
 }
 
 let create memory mpu ~clock_hz =
@@ -25,8 +25,8 @@ let create memory mpu ~clock_hz =
     memory;
     mpu;
     clock_hz;
-    cycles = 0L;
-    work_cycles = 0L;
+    cycles = 0;
+    work_cycles = 0;
     context = "untrusted";
     faults = [];
     listeners = [];
@@ -35,32 +35,56 @@ let create memory mpu ~clock_hz =
 let memory t = t.memory
 let mpu t = t.mpu
 let clock_hz t = t.clock_hz
-let cycles t = t.cycles
-let work_cycles t = t.work_cycles
+let cycles t = Int64.of_int t.cycles
+let work_cycles t = Int64.of_int t.work_cycles
+let cycles_int t = t.cycles
 
 let on_advance t f = t.listeners <- f :: t.listeners
 
-let advance t n kind =
-  if Int64.compare n 0L < 0 then invalid_arg "Cpu: negative cycle advance";
-  t.cycles <- Int64.add t.cycles n;
-  (match kind with Work -> t.work_cycles <- Int64.add t.work_cycles n | Idle -> ());
-  List.iter (fun f -> f t n kind) t.listeners
+let rec notify t n kind = function
+  | [] -> ()
+  | f :: rest ->
+    f t n kind;
+    notify t n kind rest
 
-let consume_cycles t n = advance t n Work
-let idle_cycles t n = advance t n Idle
+let advance t n kind =
+  if n < 0 then invalid_arg "Cpu: negative cycle advance";
+  if n > max_int - t.cycles then invalid_arg "Cpu: cycle counter overflow";
+  t.cycles <- t.cycles + n;
+  (match kind with Work -> t.work_cycles <- t.work_cycles + n | Idle -> ());
+  notify t n kind t.listeners
+
+(* an int64 delta reaches the native counter only if it fits it *)
+let native n =
+  if Int64.compare n 0L < 0 then invalid_arg "Cpu: negative cycle advance";
+  if Int64.compare n (Int64.of_int max_int) > 0 then
+    invalid_arg "Cpu: cycle advance exceeds the counter";
+  Int64.to_int n
+
+let consume_cycles t n = advance t (native n) Work
+let consume_cycles_int t n = advance t n Work
+let idle_cycles t n = advance t (native n) Idle
 
 let idle_seconds t s =
   if s < 0.0 then invalid_arg "Cpu.idle_seconds: negative";
   idle_cycles t (Int64.of_float (s *. float_of_int t.clock_hz))
 
-let elapsed_seconds t = Int64.to_float t.cycles /. float_of_int t.clock_hz
+let elapsed_seconds t = float_of_int t.cycles /. float_of_int t.clock_hz
 
 let context t = t.context
+let set_context t ctx = t.context <- ctx
 
 let with_context t ctx f =
   let prev = t.context in
   t.context <- ctx;
-  Fun.protect ~finally:(fun () -> t.context <- prev) f
+  match f () with
+  | v ->
+    t.context <- prev;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.context <- prev;
+    Printexc.raise_with_backtrace e bt
 
 let faults t = t.faults
 

@@ -31,23 +31,37 @@ val mpu : t -> Ea_mpu.t
 val clock_hz : t -> int
 
 val cycles : t -> int64
-(** Free-running counter: work + idle. *)
+(** Free-running counter: work + idle. It is kept in a native [int], so
+    it spans 2{^62} cycles — about 6000 years at 24 MHz. *)
 
 val work_cycles : t -> int64
 (** Cycles spent executing (the energy-relevant share). *)
 
+val cycles_int : t -> int
+(** {!cycles} as the native counter itself, for per-instruction readers
+    that should not box an [int64]. *)
+
 val consume_cycles : t -> int64 -> unit
-(** Advance the counter by executed work. *)
+(** Advance the counter by executed work.
+    @raise Invalid_argument on a negative delta, or one the native
+    counter cannot hold (it is never truncated). *)
+
+val consume_cycles_int : t -> int -> unit
+(** {!consume_cycles} with a native delta — the interpreted core charges
+    every instruction through here. *)
 
 val idle_cycles : t -> int64 -> unit
-(** Advance the counter by idle (sleeping) time. *)
+(** Advance the counter by idle (sleeping) time. Rejects deltas as
+    {!consume_cycles} does. *)
 
 val idle_seconds : t -> float -> unit
 (** [idle_cycles] expressed in wall-clock time at the core frequency. *)
 
-val on_advance : t -> (t -> int64 -> advance -> unit) -> unit
+val on_advance : t -> (t -> int -> advance -> unit) -> unit
 (** Register a callback fired after every advance (timer peripherals,
-    energy meter), with the cycle delta and its nature. *)
+    energy meter), with the cycle delta and its nature. Callbacks run
+    newest first, once per advance: an instruction's cycles are never
+    batched with another's. *)
 
 val elapsed_seconds : t -> float
 
@@ -57,6 +71,11 @@ val context : t -> string
 val with_context : t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk as code of the given region, restoring the previous
     context afterwards (even on exception). *)
+
+val set_context : t -> string -> unit
+(** Switch the executing region without a thunk — for a caller (the
+    interpreted core's step) that restores the previous context itself on
+    every exit, exceptions included. *)
 
 val faults : t -> fault list
 (** All protection faults observed so far, newest first. *)

@@ -40,6 +40,10 @@ val create : capacity:int -> t
 (** [capacity] is the #r of Table 3: the number of rule slots synthesized
     into the hardware. *)
 
+val copy : t -> t
+(** An independent table with the same capacity, rules and lock state —
+    what a cloned device's synthesized MPU holds. *)
+
 val capacity : t -> int
 val rules : t -> rule list
 val rule_count : t -> int
@@ -56,6 +60,12 @@ val clear : t -> unit
 val lock : t -> unit
 (** Irreversibly freeze the rule table (Fig. 1: "EA-MPU set up at system
     start by a secure boot mechanism" then locked). *)
+
+(** The rule list is compiled on every {!program}/{!clear} into a sorted
+    boundary table with one permission entry per segment, mode and code
+    region — the software analogue of a fixed-function hardware monitor:
+    a decision is a binary search plus a walk over the segments a range
+    meets, with no allocation. *)
 
 val check : t -> code:string -> addr:int -> mode -> bool
 (** Access decision for one byte. *)
