@@ -99,6 +99,128 @@ let qcheck_range_equals_bytewise =
       in
       fast = slow)
 
+(* ---- compiled table = list reference ---------------------------------
+
+   Every context (each region name, "untrusted", a name no rule or region
+   uses) x both modes x every rule boundary +-1 (and the ranges of each
+   length ending there), through a table programmed rule by rule and
+   queried after every program and clear (a stale table fails), then
+   locked. *)
+
+let lens = [ 1; 2; 4; 8; 64 ]
+
+(* [probe] names the rules whose boundaries are probed: all of them at
+   every stage, so an emptier table is also checked where later rules
+   will close memory *)
+let mismatches ~probe m contexts =
+  let rules = Ea_mpu.rules m in
+  let points =
+    List.concat_map
+      (fun r -> [ r.Ea_mpu.data_base; r.Ea_mpu.data_base + r.Ea_mpu.data_size ])
+      probe
+    |> List.concat_map (fun p -> [ p - 1; p; p + 1 ])
+    |> List.sort_uniq compare
+  in
+  let bad = ref [] in
+  List.iter
+    (fun code ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun p ->
+              if Ea_mpu.check m ~code ~addr:p mode <> Ea_mpu_ref.check rules ~code ~addr:p mode
+              then bad := Printf.sprintf "check %s @0x%x" code p :: !bad;
+              List.iter
+                (fun len ->
+                  List.iter
+                    (fun addr ->
+                      if
+                        Ea_mpu.check_range m ~code ~addr ~len mode
+                        <> Ea_mpu_ref.check_range rules ~code ~addr ~len mode
+                      then
+                        bad := Printf.sprintf "check_range %s @0x%x+%d" code addr len :: !bad)
+                    [ p; p - len + 1 ])
+                lens)
+            points)
+        [ Ea_mpu.Read; Ea_mpu.Write ])
+    contexts;
+  List.rev !bad
+
+let expect_reference ~probe ~what m contexts =
+  match mismatches ~probe m contexts with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%s: %d decisions differ from the reference, first %s" what
+      (List.length all) first
+
+let replay_against_reference ~what rules contexts =
+  let expect = expect_reference ~probe:rules in
+  let m = Ea_mpu.create ~capacity:(List.length rules) in
+  expect ~what:(what ^ " (empty)") m contexts;
+  List.iteri
+    (fun i r ->
+      Ea_mpu.program m r;
+      expect ~what:(Printf.sprintf "%s (%d rules)" what (i + 1)) m contexts)
+    rules;
+  (* the cleared table must open again what the programmed one closed *)
+  Ea_mpu.clear m;
+  expect ~what:(what ^ " (cleared)") m contexts;
+  List.iter (Ea_mpu.program m) rules;
+  Ea_mpu.lock m;
+  expect ~what:(what ^ " (locked)") m contexts;
+  m
+
+let test_compiled_equals_reference () =
+  let key_blob = Ra_core.Auth.prover_key_blob ~sym_key:(String.make 20 'k') ~public:None in
+  List.iter
+    (fun spec ->
+      let prover = Ra_core.Architecture.build ~ram_size:4096 ~key_blob spec in
+      let device = prover.Ra_core.Architecture.device in
+      let contexts =
+        List.map (fun r -> r.Region.name) (Memory.regions (Device.memory device))
+        @ [ "untrusted"; "no-such-region" ]
+      in
+      let what = spec.Ra_core.Architecture.spec_name in
+      let rules = Ea_mpu.rules (Device.mpu device) in
+      let m = replay_against_reference ~what rules contexts in
+      (* the device's own table, compiled during its secure boot *)
+      expect_reference ~probe:rules ~what:(what ^ " (device)") (Device.mpu device) contexts;
+      Alcotest.(check int) (what ^ ": same rules") (List.length rules) (Ea_mpu.rule_count m))
+    Ra_core.Architecture.all_specs
+
+let test_overlapping_rules_equal_reference () =
+  (* overlapping and nested ranges, shared boundaries, a zero-size rule,
+     every kind of grant *)
+  let rules =
+    [
+      rule ~name:"outer" ~read:(Ea_mpu.Code_in [ "a"; "b" ]) ~write:(Ea_mpu.Code_in [ "a" ]) 100 100;
+      rule ~name:"inner" ~read:Ea_mpu.Nobody ~write:(Ea_mpu.Code_in [ "c" ]) 120 20;
+      rule ~name:"open" ~read:Ea_mpu.Anyone ~write:Ea_mpu.Nobody 140 80;
+      rule ~name:"empty" ~read:(Ea_mpu.Code_in [ "d" ]) 150 0;
+      rule ~name:"tail" ~read:(Ea_mpu.Code_in [ "d" ]) ~write:(Ea_mpu.Code_in [ "b"; "d" ]) 200 8;
+      rule ~name:"dup" ~read:(Ea_mpu.Code_in [ "a" ]) 100 100;
+    ]
+  in
+  ignore
+    (replay_against_reference ~what:"overlapping" rules
+       [ "a"; "b"; "c"; "d"; "untrusted"; "no-such-region" ])
+
+let test_copy_keeps_decisions () =
+  let m = Ea_mpu.create ~capacity:2 in
+  Ea_mpu.program m (rule ~read:(Ea_mpu.Code_in [ "attest" ]) 0 8);
+  Ea_mpu.lock m;
+  let c = Ea_mpu.copy m in
+  Alcotest.(check bool) "copy locked" true (Ea_mpu.is_locked c);
+  Alcotest.(check int) "copy capacity" 2 (Ea_mpu.capacity c);
+  Alcotest.(check bool) "copy denies" false (Ea_mpu.check c ~code:"mal" ~addr:0 Ea_mpu.Read);
+  Alcotest.(check bool) "copy grants" true (Ea_mpu.check c ~code:"attest" ~addr:0 Ea_mpu.Read);
+  let u = Ea_mpu.create ~capacity:2 in
+  let c = Ea_mpu.copy u in
+  Ea_mpu.program c (rule 0 8);
+  Alcotest.(check int) "original untouched" 0 (Ea_mpu.rule_count u);
+  Alcotest.(check bool) "original still open" true
+    (Ea_mpu.check u ~code:"mal" ~addr:0 Ea_mpu.Write)
+
 let tests =
   [
     Alcotest.test_case "unenrolled memory open" `Quick test_unenrolled_open;
@@ -110,4 +232,9 @@ let tests =
     Alcotest.test_case "overlapping rules" `Quick test_overlapping_rules_grant_union;
     Alcotest.test_case "check_range" `Quick test_check_range;
     QCheck_alcotest.to_alcotest qcheck_range_equals_bytewise;
+    Alcotest.test_case "compiled = reference, every spec" `Quick
+      test_compiled_equals_reference;
+    Alcotest.test_case "compiled = reference, overlapping rules" `Quick
+      test_overlapping_rules_equal_reference;
+    Alcotest.test_case "copy keeps decisions" `Quick test_copy_keeps_decisions;
   ]

@@ -490,6 +490,164 @@ let test_run_bound () =
   Alcotest.check check_state "still running at bound" Core.Running state;
   Alcotest.(check int) "hit the bound" 1_000_000 steps
 
+(* ---- the decode cache ----------------------------------------------
+
+   Decoded instructions are cached per region's bytes and revalidated
+   after writes; an instruction that runs off its region's end is never
+   cached. None of it may be visible in what executes. *)
+
+let words_bytes words =
+  String.concat ""
+    (List.map (fun w -> String.init 2 (fun i -> Char.chr ((w lsr (8 * i)) land 0xff))) words)
+
+(* decode straight off the bus, the way an uncached fetch reads *)
+let bus_decode memory ~pc =
+  Insn.decode
+    ~fetch:(fun i -> Memory.read_byte memory (2 * i) lor (Memory.read_byte memory ((2 * i) + 1) lsl 8))
+    ~at:(pc / 2)
+
+let test_self_modifying_code () =
+  (* the loop runs [patch] once, then overwrites its first two words
+     with an [add] and runs it again: the new instruction must execute *)
+  let src =
+    {|
+      mov r5, #0
+    again:
+    patch:
+      mov r1, #1
+      add r5, #1
+      cmp r5, #2
+      jz done
+      store [r7+0], r6
+      jmp again
+    done:
+      halt
+    |}
+  in
+  List.iter
+    (fun origin ->
+      let memory, cpu = make () in
+      let program = assemble_at origin src in
+      Asm.load memory program;
+      let core = Core.create cpu ~pc:origin ~sp:0x5000 in
+      let patched = Insn.encode (Insn.Add (1, Insn.Imm 0x1234)) in
+      Core.set_reg core 7 (Asm.label program "patch");
+      Core.set_reg core 6 (List.nth patched 0 lor (List.nth patched 1 lsl 16));
+      let state, _ = Core.run core in
+      Alcotest.check check_state "halted" Core.Halted state;
+      Alcotest.(check int) (Printf.sprintf "patched add ran (code at 0x%x)" origin) 0x1235
+        (Core.reg core 1))
+    [ 0x0000 (* writable flash *); 0x4000 (* RAM *) ]
+
+let test_straddling_jump_uncached () =
+  let memory =
+    Memory.create
+      [
+        Region.make ~name:"lo" ~base:0x0000 ~size:0x100 ~kind:Region.Flash;
+        Region.make ~name:"hi" ~base:0x0100 ~size:0x100 ~kind:Region.Flash;
+      ]
+  in
+  let cpu = Cpu.create memory (Ea_mpu.create ~capacity:0) ~clock_hz:24_000_000 in
+  (* jmp at 0xFC: opcode and low target word in "lo", high word in "hi" *)
+  Memory.write_bytes memory 0xFC (words_bytes (Insn.encode (Insn.Jump (Insn.Always, 0x10))));
+  Memory.write_bytes memory 0x10 (words_bytes (Insn.encode Insn.Halt));
+  Alcotest.(check bool) "bus decode" true (bus_decode memory ~pc:0xFC = (Insn.Jump (Insn.Always, 0x10), 3));
+  let core = Core.create cpu ~pc:0xFC ~sp:0 in
+  Alcotest.check check_state "jumps" Core.Running (Core.step core);
+  Alcotest.(check int) "to the target" 0x10 (Core.pc core);
+  Alcotest.(check int64) "three words, three cycles" 3L (Cpu.cycles cpu);
+  (* rewrite the high target word in "hi": a cache keyed on "lo" alone
+     would still jump to 0x10 *)
+  Memory.write_bytes memory 0x100 (words_bytes [ 0x0001 ]);
+  Core.force_pc core 0xFC;
+  Alcotest.check check_state "new target read off the bus"
+    (Core.Trapped (Core.Trap_bus "jump to unmapped 0x010010"))
+    (Core.step core);
+  (* a jump in the last word of memory faults fetching its target,
+     exactly as the bus decode does *)
+  Memory.write_bytes memory 0x1FE (words_bytes [ List.hd (Insn.encode (Insn.Jump (Insn.Always, 0))) ]);
+  let expected =
+    match bus_decode memory ~pc:0x1FE with
+    | _ -> Alcotest.fail "decode past the end of memory succeeded"
+    | exception Memory.Bus_fault msg -> Core.Trapped (Core.Trap_bus msg)
+  in
+  Core.force_pc core 0x1FE;
+  Alcotest.check check_state "same fault" expected (Core.step core)
+
+let test_clone_write_isolated () =
+  let memory =
+    Memory.create
+      [
+        Region.make ~name:"app" ~base:0x0000 ~size:0x1000 ~kind:Region.Flash;
+        Region.make ~name:"ram" ~base:0x4000 ~size:0x1000 ~kind:Region.Ram;
+      ]
+  in
+  Asm.load memory (assemble_at 0 "mov r1, #7\nhalt");
+  let run m =
+    let core = Core.create (Cpu.create m (Ea_mpu.create ~capacity:0) ~clock_hz:24_000_000) ~pc:0 ~sp:0x5000 in
+    ignore (Core.run core);
+    Core.reg core 1
+  in
+  Alcotest.(check int) "prototype" 7 (run memory);
+  let clone = Memory.clone memory and sibling = Memory.clone memory in
+  Alcotest.(check int) "clone, shared flash" 7 (run clone);
+  Memory.write_bytes clone 0 (words_bytes (Insn.encode (Insn.Mov (1, Insn.Imm 9))));
+  Alcotest.(check int) "clone runs its own write" 9 (run clone);
+  Alcotest.(check int) "prototype unchanged" 7 (run memory);
+  Alcotest.(check int) "sibling clone unchanged" 7 (run sibling)
+
+(* Every first word: [Insn.decode] returns or raises [Invalid_argument]
+   only, and one step gives the same machine state when the instruction
+   is decoded cold, served warm from the cache (a clone sharing the code
+   bytes), or fetched off the bus because its extension words lie in the
+   next region. *)
+let test_every_first_word () =
+  let ext = [ 0x0010; 0x0000 ] in
+  let code ~split =
+    if split then
+      [
+        Region.make ~name:"code" ~base:0x000 ~size:0x102 ~kind:Region.Flash;
+        Region.make ~name:"code" ~base:0x102 ~size:0x0FE ~kind:Region.Flash;
+      ]
+    else [ Region.make ~name:"code" ~base:0x000 ~size:0x200 ~kind:Region.Flash ]
+  in
+  let machine ~split w0 =
+    let memory =
+      Memory.create (code ~split @ [ Region.make ~name:"ram" ~base:0x200 ~size:0x200 ~kind:Region.Ram ])
+    in
+    Memory.write_bytes memory 0x100 (words_bytes (w0 :: ext));
+    memory
+  in
+  let step memory =
+    let cpu = Cpu.create memory (Ea_mpu.create ~capacity:0) ~clock_hz:24_000_000 in
+    let core = Core.create cpu ~pc:0x100 ~sp:0x3F0 in
+    for r = 0 to 15 do
+      Core.set_reg core r (0x200 + (8 * r))
+    done;
+    let state = Core.step core in
+    ( Format.asprintf "%a" Core.pp_state state,
+      (Core.pc core, Core.sp core, List.init 16 (Core.reg core)),
+      (Core.zero_flag core, Core.carry_flag core, Core.negative_flag core),
+      (Cpu.cycles cpu, Memory.read_bytes memory 0x200 0x200) )
+  in
+  let bad = ref 0 and first = ref "" in
+  for w0 = 0 to 0xFFFF do
+    (match Insn.decode ~fetch:(fun i -> if i = 0 then w0 else List.nth ext (i - 1)) ~at:0 with
+    | _ -> ()
+    | exception Invalid_argument _ -> ()
+    | exception e -> Alcotest.failf "decode 0x%04x raised %s" w0 (Printexc.to_string e));
+    let cold = machine ~split:false w0 in
+    let warm = Memory.clone cold in
+    let a = step cold in
+    let b = step warm in
+    let c = step (machine ~split:true w0) in
+    if a <> b || a <> c then begin
+      if !bad = 0 then first := Printf.sprintf "0x%04x" w0;
+      incr bad
+    end
+  done;
+  Alcotest.(check (pair int string)) "no first word steps differently" (0, "") (!bad, !first)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_encode_decode;
@@ -518,4 +676,9 @@ let tests =
     Alcotest.test_case "listing shows labels" `Quick test_listing_contains_labels;
     QCheck_alcotest.to_alcotest qcheck_disassemble_inverse_of_assemble;
     Alcotest.test_case "run bound" `Slow test_run_bound;
+    Alcotest.test_case "self-modifying code" `Quick test_self_modifying_code;
+    Alcotest.test_case "straddling jump decodes off the bus" `Quick
+      test_straddling_jump_uncached;
+    Alcotest.test_case "clone flash write isolated" `Quick test_clone_write_isolated;
+    Alcotest.test_case "every first word: cold = warm = bus" `Quick test_every_first_word;
   ]
