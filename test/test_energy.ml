@@ -2,7 +2,7 @@ open Ra_mcu
 
 let test_active_consumption () =
   let e = Energy.create ~capacity_joules:1.0 ~active_nj_per_cycle:1.0 ~sleep_microwatt:0.0 () in
-  Energy.consume_cycles e 1_000_000L (* 1e6 cycles x 1 nJ = 1 mJ *);
+  Energy.consume_cycles e 1_000_000 (* 1e6 cycles x 1 nJ = 1 mJ *);
   Alcotest.(check (float 1e-9)) "1 mJ" 0.001 (Energy.consumed_joules e);
   Alcotest.(check bool) "not depleted" false (Energy.depleted e)
 
@@ -13,7 +13,7 @@ let test_sleep_consumption () =
 
 let test_depletion () =
   let e = Energy.create ~capacity_joules:0.001 ~active_nj_per_cycle:1.0 ~sleep_microwatt:0.0 () in
-  Energy.consume_cycles e 2_000_000L;
+  Energy.consume_cycles e 2_000_000;
   Alcotest.(check bool) "depleted" true (Energy.depleted e);
   Alcotest.(check (float 1e-9)) "remaining floors at 0" 0.0 (Energy.remaining_joules e)
 
