@@ -67,7 +67,7 @@ type hook = {
   h_irq_exit : unit -> unit;  (** Handler finished; context restored. *)
 }
 (** Out-of-band execution observation for the profiler ([Ra_isa.Sampler]).
-    Costs exactly one [option] match per retired instruction when unset;
+    Costs one countdown decrement per retired instruction, set or not;
     hooks must not mutate core or CPU state (observation only), so the
     executed program — transcripts, cycle counts, battery — is
     bit-for-bit identical with the hook on or off. *)
