@@ -226,13 +226,17 @@ let wire verifier (prover : Architecture.prover) =
      and the service ones) mirror into the causal timeline as instants at
      the current simulated time carrying the work as a cpu_ms label —
      their clock is prover CPU work, not Simtime, and mixing the two
-     timebases as span bounds would skew the timeline. *)
+     timebases as span bounds would skew the timeline. The label is
+     only built while a tracer is attached. *)
   let mirror cat (f : Ra_obs.Span.finished) =
-    Trace.causal_instant t.trace ~cat
-      ~labels:
-        (("cpu_ms", Printf.sprintf "%.4f" (Ra_obs.Span.duration_ms f))
-        :: f.Ra_obs.Span.f_labels)
-      f.Ra_obs.Span.f_name
+    match Trace.tracer t.trace with
+    | None -> ()
+    | Some _ ->
+      Trace.causal_instant t.trace ~cat
+        ~labels:
+          (("cpu_ms", Printf.sprintf "%.4f" (Ra_obs.Span.duration_ms f))
+          :: f.Ra_obs.Span.f_labels)
+        f.Ra_obs.Span.f_name
   in
   Ra_obs.Span.on_finish (Code_attest.spans prover.Architecture.anchor) (fun f ->
       mirror "prover" f;

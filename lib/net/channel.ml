@@ -150,7 +150,10 @@ let send t ~src payload =
   if not (Hashtbl.mem t.seen payload) then Hashtbl.replace t.seen payload ();
   Ra_obs.Registry.Counter.inc
     (match src with Verifier_side -> M.sent_verifier | Prover_side -> M.sent_prover);
-  Trace.recordf t.trace "net: %a sent a message" pp_side src;
+  Trace.record t.trace
+    (match src with
+    | Verifier_side -> "net: verifier sent a message"
+    | Prover_side -> "net: prover sent a message");
   Trace.causal_instant t.trace ~cat:"net" ~labels:[ ("src", side_label src) ] "net.tx"
 
 let transcript t = List.init t.t_len (fun i -> t.transcript.(i))
@@ -188,7 +191,10 @@ let deliver_kind t ~kind ~dst payload =
         else (M.delivered_injected, "injected")
     in
     Ra_obs.Registry.Counter.inc counter;
-    Trace.recordf t.trace "net: delivered to %a" pp_side dst;
+    Trace.record t.trace
+      (match dst with
+      | Verifier_side -> "net: delivered to verifier"
+      | Prover_side -> "net: delivered to prover");
     Trace.causal_span t.trace ~cat:"net"
       ~labels:[ ("kind", label); ("dst", side_label dst) ]
       "net.deliver"

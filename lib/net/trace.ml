@@ -1,31 +1,45 @@
 type entry = { at : float; label : string }
 
+(* Stored unformatted, rendered on read: [recordf]'s arguments are
+   immutable values, so a later rendering is the text it would have
+   produced at the call. *)
+type event =
+  | Text of float * string
+  | Printer of float * (Format.formatter -> unit)
+  | Span of Ra_obs.Span.finished
+
+let capacity = 4096
+
 type t = {
   time : Simtime.t;
-  mutable entries : entry list; (* newest first *)
+  events : event Ra_obs.Recorder.t;
   spans : Ra_obs.Span.t;
   mutable tracer : Ra_obs.Trace.t option; (* causal flight recorder, off by default *)
 }
 
 let create time =
   let spans = Ra_obs.Span.create ~clock:(fun () -> Simtime.now time) () in
-  let t = { time; entries = []; spans; tracer = None } in
-  Ra_obs.Span.on_finish spans (fun f ->
-      t.entries <-
-        {
-          at = f.Ra_obs.Span.f_stop;
-          label =
-            Printf.sprintf "span %s: %.3f ms" f.Ra_obs.Span.f_name
-              (Ra_obs.Span.duration_ms f);
-        }
-        :: t.entries);
+  let t = { time; events = Ra_obs.Recorder.create ~capacity; spans; tracer = None } in
+  Ra_obs.Span.on_finish spans (fun f -> Ra_obs.Recorder.push t.events (Span f));
   t
 
-let record t label = t.entries <- { at = Simtime.now t.time; label } :: t.entries
+let record t label = Ra_obs.Recorder.push t.events (Text (Simtime.now t.time, label))
 
-let recordf t fmt = Format.kasprintf (record t) fmt
+let recordf t fmt =
+  Format.kdprintf
+    (fun p -> Ra_obs.Recorder.push t.events (Printer (Simtime.now t.time, p)))
+    fmt
 
-let entries t = List.rev t.entries
+let entry = function
+  | Text (at, label) -> { at; label }
+  | Printer (at, p) -> { at; label = Format.asprintf "%t" p }
+  | Span f ->
+    let label = Printf.sprintf "span %s: %.3f ms" f.f_name (Ra_obs.Span.duration_ms f) in
+    { at = f.f_stop; label }
+
+let entries t = List.map entry (Ra_obs.Recorder.to_list t.events)
+
+let evicted t = Ra_obs.Recorder.evicted t.events
 
 let spans t = t.spans
 

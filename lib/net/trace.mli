@@ -1,15 +1,24 @@
 (** Timestamped event log of a protocol run — the audit trail the
-    experiment harness and the examples print. *)
+    experiment harness and the examples print: a bounded ring of
+    unformatted events (strings, deferred {!recordf} printers, finished
+    spans), rendered to text only when read. *)
 
 type entry = { at : float; label : string }
 
 type t
 
+val capacity : int
+(** 4096 events; the oldest is evicted past that. *)
+
 val create : Simtime.t -> t
 val record : t -> string -> unit
 val recordf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Formatting is deferred to the first read: arguments must not be mutated. *)
+
 val entries : t -> entry list
-(** Chronological order. *)
+(** Chronological order; the most recent {!capacity} events. *)
+
+val evicted : t -> int
 
 val find : t -> substring:string -> entry list
 val pp : Format.formatter -> t -> unit

@@ -25,10 +25,6 @@ val flush : t -> unit
 (** Fold every instrument's buffered values into its registry target and
     reset the local accumulators, in registration order. *)
 
-val on_flush : t -> (unit -> unit) -> unit
-(** Register an extra flush action (for merges that do not fit the two
-    instrument shapes). Actions run in registration order. *)
-
 type arena := t
 
 module Counter : sig

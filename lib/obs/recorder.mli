@@ -3,7 +3,8 @@
     A fixed-capacity FIFO that overwrites its oldest entry once full —
     the "flight recorder" discipline: memory stays bounded no matter how
     long a device runs, and the most recent history is always retained.
-    Not thread-safe; each recorder belongs to one device/session. *)
+    Not thread-safe; each recorder belongs to one device/session. Its
+    array starts empty and doubles up to the capacity. *)
 
 type 'a t
 
@@ -29,6 +30,9 @@ val latest : 'a t -> 'a option
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Oldest first. *)
+
+val fold : 'a t -> init:'b -> ('b -> 'a -> 'b) -> 'b
+(** Oldest first, without building a list. *)
 
 val clear : 'a t -> unit
 (** Drop all entries and zero the eviction count. *)

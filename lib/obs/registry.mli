@@ -26,7 +26,9 @@ val reset : t -> unit
     large fleet sweeps) cannot grow the registry without bound. Past the
     cap, [get] still returns a live handle, but the series is not stored
     or exported and [ra_obs_dropped_series_total{metric="<name>"}] is
-    incremented instead. *)
+    incremented instead. It counts refused [get] calls, so a site that
+    keeps its handle counts once ({!Ra_obs.Span}: once per domain,
+    registry and span name). *)
 
 val default_max_series : int
 (** 1024. *)

@@ -3,9 +3,10 @@
     A span context owns a clock (e.g. [Ra_net.Simtime.now] for wall-clock
     spans, or a device's [Cpu.elapsed_seconds] for prover-work spans), a
     stack of open spans (children nest under the innermost open span) and
-    the finished-span log. On exit, the span's duration is mirrored into a
-    registry histogram [ra_span_ms{span="<name>"}] so percentile queries
-    and the Prometheus exposition see every span family.
+    the bounded finished-span log. On exit, the span's duration is
+    mirrored into a registry histogram [ra_span_ms{span="<name>"}], whose
+    handle each domain resolves once, so percentile queries and the
+    Prometheus exposition see every span family.
 
     A context is {e not} domain-safe — give each session/world its own,
     as [Ra_net.Trace] does. The registry histogram it reports into is
@@ -51,6 +52,9 @@ val with_span : t -> ?labels:Registry.labels -> string -> (unit -> 'a) -> 'a
 (** Enter/exit around [f]; on exception the span is closed with
     [outcome="raised"] and the exception re-raised. *)
 
+val capacity : int
+(** 4096: the finished log keeps the most recent spans. *)
+
 val finished : t -> finished list
 (** Completion order (chronological). *)
 
@@ -63,10 +67,4 @@ val duration_ms : finished -> float
 
 val on_finish : t -> (finished -> unit) -> unit
 (** Install a callback run at every span exit (used by [Ra_net.Trace] to
-    mirror spans into its free-form event log). Replaces any previous. *)
-
-val add_on_finish : t -> (finished -> unit) -> unit
-(** Like {!on_finish} but composes: the new callback runs after any
-    previously installed one, so tracing mirrors and profiler phase
-    attribution can observe the same span context without clobbering
-    each other. *)
+    mirror spans into its event ring). Replaces any previous. *)
